@@ -29,7 +29,7 @@ Status BruteForceEngine::RegisterQuery(const QuerySpec& spec) {
   QueryState state{spec, {}};
   Recompute(state);
   ++stats_.initial_computations;
-  delta_.Report(spec.id, last_cycle_, state.result);
+  delta_.Track(spec.id, last_cycle_, state.result);
   queries_.emplace(spec.id, std::move(state));
   return Status::Ok();
 }

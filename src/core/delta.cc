@@ -1,11 +1,19 @@
 #include "core/delta.h"
 
-#include <algorithm>
-
 namespace topkmon {
 
+void DeltaTracker::SetCallback(DeltaCallback callback) {
+  callback_ = std::move(callback);
+  report_all_ = static_cast<bool>(callback_);
+  changed_.clear();
+  // Nothing has been reported to the new callback (or there is none).
+  for (auto& [query, last] : last_reported_) {
+    std::vector<ResultEntry>().swap(last);
+  }
+}
+
 void DeltaTracker::Report(QueryId query, Timestamp when,
-                          const std::vector<ResultEntry>& current) {
+                          std::vector<ResultEntry> current) {
   if (!callback_) return;
   std::vector<ResultEntry>& last = last_reported_[query];
   ResultDelta delta;
@@ -26,14 +34,14 @@ void DeltaTracker::Report(QueryId query, Timestamp when,
     if (!contains(current, e.id)) delta.removed.push_back(e);
   }
   if (delta.added.empty() && delta.removed.empty()) return;
-  last = current;
-  callback_(delta);
+  last = std::move(current);
+  callback_(std::move(delta));
 }
 
 std::size_t DeltaTracker::MemoryBytes() const {
   std::size_t bytes = 0;
   for (const auto& [query, entries] : last_reported_) {
-    bytes += sizeof(query) + VectorBytes(entries);
+    bytes += VectorBytes(entries);
   }
   return bytes;
 }

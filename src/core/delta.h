@@ -1,14 +1,17 @@
 // Result-change reporting ("Report changes to the client", Figures 9/11).
 //
 // Clients of a monitoring server rarely want the full top-k every cycle;
-// they want the delta. DeltaTracker compares each query's current result
+// they want the delta. DeltaTracker compares a query's current result
 // against the last reported one and invokes a client callback with the
-// entries that entered and left. Tracking is off (and free) until a
-// callback is installed.
+// entries that entered and left. Reporting costs what changed: engines
+// mark the queries whose results a cycle may have changed, and only
+// those are diffed at the end of the cycle. Tracking is off (and free)
+// until a callback is installed.
 
 #ifndef TOPKMON_CORE_DELTA_H_
 #define TOPKMON_CORE_DELTA_H_
 
+#include <algorithm>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -27,37 +30,74 @@ struct ResultDelta {
 
 /// Client callback; invoked once per query per cycle in which its result
 /// changed (and once at registration with the initial result as `added`).
-using DeltaCallback = std::function<void(const ResultDelta&)>;
+/// The delta is handed over by value, so a receiver keeps it without a
+/// copy.
+using DeltaCallback = std::function<void(ResultDelta)>;
 
-/// Per-engine delta bookkeeping. Engines call Report() for every query at
-/// the end of each processing cycle; the tracker diffs by record id and
-/// fires the callback only on actual changes.
+/// Per-engine delta bookkeeping. Engines Track() each externally visible
+/// query at registration, MarkChanged() a query whenever a cycle may have
+/// changed its result, and call ReportChanged() once at the end of the
+/// cycle; the tracker diffs the marked queries by record id and fires the
+/// callback only on actual changes.
 class DeltaTracker {
  public:
-  /// Installs (or clears, with nullptr) the callback. Installing starts
-  /// reporting from the *next* Report() call, which will treat the
-  /// current result as entirely new.
-  void SetCallback(DeltaCallback callback) {
-    callback_ = std::move(callback);
-    if (!callback_) last_reported_.clear();
+  /// Installs (or clears, with nullptr) the callback. Installing makes
+  /// the next ReportChanged() report every tracked query's full current
+  /// result as `added`.
+  void SetCallback(DeltaCallback callback);
+
+  /// True iff a callback is installed.
+  bool enabled() const { return static_cast<bool>(callback_); }
+
+  /// Starts tracking a newly registered query and reports its initial
+  /// result (when a callback is installed).
+  void Track(QueryId query, Timestamp when,
+             std::vector<ResultEntry> initial) {
+    last_reported_.try_emplace(query);
+    Report(query, when, std::move(initial));
   }
 
-  /// True iff a callback is installed; engines skip all tracking work
-  /// otherwise.
-  bool enabled() const { return static_cast<bool>(callback_); }
+  /// Stops tracking a terminated query (no callback fired).
+  void Forget(QueryId query) { last_reported_.erase(query); }
+
+  /// Notes that `query`'s result may have changed this cycle. Marking a
+  /// query more than once per cycle is harmless; free while disabled.
+  void MarkChanged(QueryId query) {
+    if (callback_) changed_.push_back(query);
+  }
+
+  /// Ends a cycle: reports every query marked since the last call — or
+  /// every tracked query, after SetCallback — in ascending id order.
+  /// `result_of(id)` yields the query's current result.
+  template <typename ResultOf>
+  void ReportChanged(Timestamp when, ResultOf&& result_of) {
+    if (!callback_) return;
+    if (report_all_) {
+      report_all_ = false;
+      changed_.clear();
+      for (const auto& [query, last] : last_reported_) {
+        changed_.push_back(query);
+      }
+    }
+    std::sort(changed_.begin(), changed_.end());
+    changed_.erase(std::unique(changed_.begin(), changed_.end()),
+                   changed_.end());
+    for (QueryId query : changed_) Report(query, when, result_of(query));
+    changed_.clear();
+  }
 
   /// Diffs `current` against the last reported result of `query`, fires
   /// the callback when they differ, and remembers `current`.
   void Report(QueryId query, Timestamp when,
-              const std::vector<ResultEntry>& current);
+              std::vector<ResultEntry> current);
 
-  /// Drops the stored state of a terminated query (no callback fired).
-  void Forget(QueryId query) { last_reported_.erase(query); }
-
+  /// Heap bytes of the stored last-reported results.
   std::size_t MemoryBytes() const;
 
  private:
   DeltaCallback callback_;
+  bool report_all_ = false;
+  std::vector<QueryId> changed_;
   std::unordered_map<QueryId, std::vector<ResultEntry>> last_reported_;
 };
 

@@ -139,11 +139,11 @@ void ShardedEngine::SetDeltaCallback(DeltaCallback callback) {
   auto mu = delta_mu_;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->SetDeltaCallback(
-        [this, mu, callback, s](const ResultDelta& delta) {
+        [this, mu, callback, s](ResultDelta delta) {
           const auto it = query_shard_.find(delta.query);
           if (it == query_shard_.end() || it->second != s) return;
           std::lock_guard<std::mutex> lock(*mu);
-          callback(delta);
+          callback(std::move(delta));
         });
   }
 }

@@ -39,15 +39,17 @@ Status SmaEngine::RegisterQuery(const QuerySpec& spec) {
     }
     return RegisterPiecewise(spec, *fn);
   }
-  return RegisterMonotone(spec, /*report_delta=*/true);
+  return RegisterMonotone(spec, spec.id);
 }
 
-Status SmaEngine::RegisterMonotone(const QuerySpec& spec, bool report_delta) {
-  auto [it, inserted] = queries_.emplace(spec.id, QueryState(spec));
+Status SmaEngine::RegisterMonotone(const QuerySpec& spec,
+                                   QueryId reported_as) {
+  auto [it, inserted] =
+      queries_.emplace(spec.id, QueryState(spec, reported_as));
   ++stats_.initial_computations;
   RecomputeFromScratch(spec.id, it->second);
-  if (report_delta) {
-    delta_.Report(spec.id, last_cycle_, it->second.skyband.TopK());
+  if (reported_as == spec.id) {
+    delta_.Track(spec.id, last_cycle_, it->second.skyband.TopK());
   }
   return Status::Ok();
 }
@@ -61,7 +63,7 @@ Status SmaEngine::RegisterPiecewise(const QuerySpec& spec,
   book.k = spec.k;
   book.subs.reserve(subs->size());
   for (const QuerySpec& sub : *subs) {
-    const Status st = RegisterMonotone(sub, /*report_delta=*/false);
+    const Status st = RegisterMonotone(sub, spec.id);
     if (!st.ok()) {
       for (QueryId sid : book.subs) (void)RemoveMonotone(sid);
       return st;
@@ -69,7 +71,7 @@ Status SmaEngine::RegisterPiecewise(const QuerySpec& spec,
     book.subs.push_back(sub.id);
   }
   auto [it, inserted] = piecewise_.emplace(spec.id, std::move(book));
-  delta_.Report(spec.id, last_cycle_, MergedPiecewise(it->second));
+  delta_.Track(spec.id, last_cycle_, MergedPiecewise(it->second));
   return Status::Ok();
 }
 
@@ -146,6 +148,7 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     if (!state.changed) continue;
     state.changed = false;
     ++stats_.result_changes;
+    delta_.MarkChanged(state.reported_as);
     if (state.skyband.size() < static_cast<std::size_t>(state.spec.k) &&
         window_.size() > 0) {
       ++stats_.recomputations;
@@ -153,15 +156,8 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     }
   }
   last_cycle_ = now;
-  if (delta_.enabled()) {
-    for (const auto& [qid, state] : queries_) {
-      if (IsInternalQueryId(qid)) continue;  // only parents are reported
-      delta_.Report(qid, now, state.skyband.TopK());
-    }
-    for (const auto& [pid, book] : piecewise_) {
-      delta_.Report(pid, now, MergedPiecewise(book));
-    }
-  }
+  delta_.ReportChanged(
+      now, [this](QueryId id) { return CurrentResult(id).value(); });
   stats_.maintenance_seconds += watch.ElapsedSeconds();
   return Status::Ok();
 }

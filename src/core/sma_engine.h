@@ -57,9 +57,13 @@ class SmaEngine final : public MonitorEngine {
 
  private:
   struct QueryState {
-    explicit QueryState(QuerySpec s) : spec(std::move(s)), skyband(spec.k) {}
+    QueryState(QuerySpec s, QueryId reported)
+        : spec(std::move(s)), skyband(spec.k), reported_as(reported) {}
     QuerySpec spec;
     Skyband skyband;
+    /// The query whose reported result this entry feeds: its own id, or
+    /// its piecewise parent's.
+    QueryId reported_as;
     /// kth score at the last from-scratch computation; fixed influence
     /// threshold until the next recomputation (Figure 11, line 7).
     double top_score = 0.0;
@@ -68,9 +72,10 @@ class SmaEngine final : public MonitorEngine {
 
   void RecomputeFromScratch(QueryId id, QueryState& state);
 
-  /// Pre-validated registration body; internal piecewise sub-queries
-  /// skip the delta report (only the parent's merged result is visible).
-  Status RegisterMonotone(const QuerySpec& spec, bool report_delta);
+  /// Pre-validated registration body; `reported_as` is the query whose
+  /// result the entry feeds (its own id, or the piecewise parent's — only
+  /// the parent's merged result is visible).
+  Status RegisterMonotone(const QuerySpec& spec, QueryId reported_as);
   Status RemoveMonotone(QueryId id);
   Status RegisterPiecewise(const QuerySpec& spec,
                            const PiecewiseFunction& fn);

@@ -45,16 +45,18 @@ Status TmaEngine::RegisterQuery(const QuerySpec& spec) {
     }
     return RegisterPiecewise(spec, *fn);
   }
-  return RegisterMonotone(spec, /*report_delta=*/true);
+  return RegisterMonotone(spec, spec.id);
 }
 
-Status TmaEngine::RegisterMonotone(const QuerySpec& spec, bool report_delta) {
-  auto [it, inserted] = queries_.emplace(spec.id, QueryState(spec));
+Status TmaEngine::RegisterMonotone(const QuerySpec& spec,
+                                   QueryId reported_as) {
+  auto [it, inserted] =
+      queries_.emplace(spec.id, QueryState(spec, reported_as));
   QueryState& state = it->second;
   ++stats_.initial_computations;
   RecomputeFromScratch(spec.id, state);
-  if (report_delta) {
-    delta_.Report(spec.id, last_cycle_, state.top_list.entries());
+  if (reported_as == spec.id) {
+    delta_.Track(spec.id, last_cycle_, state.top_list.entries());
   }
   return Status::Ok();
 }
@@ -68,7 +70,7 @@ Status TmaEngine::RegisterPiecewise(const QuerySpec& spec,
   book.k = spec.k;
   book.subs.reserve(subs->size());
   for (const QuerySpec& sub : *subs) {
-    const Status st = RegisterMonotone(sub, /*report_delta=*/false);
+    const Status st = RegisterMonotone(sub, spec.id);
     if (!st.ok()) {
       for (QueryId sid : book.subs) (void)RemoveMonotone(sid);
       return st;
@@ -76,7 +78,7 @@ Status TmaEngine::RegisterPiecewise(const QuerySpec& spec,
     book.subs.push_back(sub.id);
   }
   auto [it, inserted] = piecewise_.emplace(spec.id, std::move(book));
-  delta_.Report(spec.id, last_cycle_, MergedPiecewise(it->second));
+  delta_.Track(spec.id, last_cycle_, MergedPiecewise(it->second));
   return Status::Ok();
 }
 
@@ -140,17 +142,12 @@ Status TmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     ++stats_.recomputations;
     ++stats_.result_changes;
     RecomputeFromScratch(qid, state);
+    delta_.MarkChanged(state.reported_as);
   }
   last_cycle_ = now;
-  if (delta_.enabled()) {
-    for (const auto& [qid, state] : queries_) {
-      if (IsInternalQueryId(qid)) continue;  // only parents are reported
-      delta_.Report(qid, now, state.top_list.entries());
-    }
-    for (const auto& [pid, book] : piecewise_) {
-      delta_.Report(pid, now, MergedPiecewise(book));
-    }
-  }
+  // -- Report changes: only the queries marked above ----------------------
+  delta_.ReportChanged(
+      now, [this](QueryId id) { return CurrentResult(id).value(); });
   stats_.maintenance_seconds += watch.ElapsedSeconds();
   return Status::Ok();
 }
@@ -168,7 +165,10 @@ void TmaEngine::HandleArrival(const Record& p) {
     ++stats_.points_scored;
     const double score = state.spec.function->Score(p.position);
     if (score >= state.top_list.KthScore()) {
-      if (state.top_list.Consider(p.id, score)) ++stats_.result_changes;
+      if (state.top_list.Consider(p.id, score)) {
+        ++stats_.result_changes;
+        delta_.MarkChanged(state.reported_as);
+      }
     }
   }
 }

@@ -74,9 +74,13 @@ class TmaEngine final : public MonitorEngine {
 
  private:
   struct QueryState {
-    explicit QueryState(QuerySpec s) : spec(std::move(s)), top_list(spec.k) {}
+    QueryState(QuerySpec s, QueryId reported)
+        : spec(std::move(s)), top_list(spec.k), reported_as(reported) {}
     QuerySpec spec;
     TopKList top_list;
+    /// The query whose reported result this entry feeds: its own id, or
+    /// its piecewise parent's.
+    QueryId reported_as;
     bool affected = false;  ///< a result record expired this cycle
   };
 
@@ -87,10 +91,11 @@ class TmaEngine final : public MonitorEngine {
   void HandleArrival(const Record& p);
   void HandleExpiry(const Record& p);
 
-  /// The pre-validated registration body (shared by external monotone
-  /// queries and internal piecewise sub-queries, which skip the delta
-  /// report — only the parent's merged result is ever reported).
-  Status RegisterMonotone(const QuerySpec& spec, bool report_delta);
+  /// The pre-validated registration body, shared by external monotone
+  /// queries and internal piecewise sub-queries. `reported_as` is the
+  /// query whose result the entry feeds (its own id, or the piecewise
+  /// parent's — only the parent's merged result is ever reported).
+  Status RegisterMonotone(const QuerySpec& spec, QueryId reported_as);
   /// Removes one entry from the query table (internal or external).
   Status RemoveMonotone(QueryId id);
   /// Decomposes a piecewise-monotone spec into internal constrained

@@ -72,6 +72,12 @@ MaxScoreTraversal::MaxScoreTraversal(const Grid& grid,
                                      const Rect* constraint)
     : grid_(grid), f_(f), scratch_(scratch), constraint_(constraint) {
   assert(f.dim() == grid.dim());
+  CellIndex stride = 1;
+  for (int axis = grid.dim() - 1; axis >= 0; --axis) {
+    step_[axis] = DescendingStep(f, axis);
+    stride_[axis] = stride;
+    stride *= static_cast<CellIndex>(grid.cells_per_axis());
+  }
   scratch_->Reset(grid.num_cells());
   CellIndex seed;
   if (constraint_ == nullptr) {
@@ -81,7 +87,7 @@ MaxScoreTraversal::MaxScoreTraversal(const Grid& grid,
     // highest clipped maxscore (Figure 12 starts at c_{5,5}).
     seed = ConstrainedSeedCell(grid, f, *constraint_);
   }
-  Push(seed);
+  Push(seed, grid.Decompose(seed));
 }
 
 std::optional<Rect> MaxScoreTraversal::ClippedBounds(CellIndex cell) const {
@@ -97,11 +103,26 @@ std::optional<Rect> MaxScoreTraversal::ClippedBounds(CellIndex cell) const {
   return Rect(lo, hi);
 }
 
-void MaxScoreTraversal::Push(CellIndex cell) {
+void MaxScoreTraversal::Push(CellIndex cell, const CellCoords& coords) {
   if (!scratch_->Mark(cell)) return;  // already en-heaped
-  std::optional<Rect> bounds = ClippedBounds(cell);
-  if (!bounds.has_value()) return;  // outside the constraint region
-  heap_.push_back(Entry{cell, f_.MaxScore(*bounds)});
+  double maxscore;
+  if (constraint_ == nullptr) {
+    // The cell's best corner straight from its coordinates: the hi side
+    // on increasing axes, the lo side on decreasing ones — the arithmetic
+    // of Grid::CellBounds, so the key equals MaxScore(CellBounds(cell)).
+    const double delta = grid_.delta();
+    Point corner(grid_.dim());
+    for (int i = 0; i < grid_.dim(); ++i) {
+      corner[i] = step_[i] < 0 ? std::min(1.0, (coords[i] + 1) * delta)
+                               : coords[i] * delta;
+    }
+    maxscore = f_.Score(corner);
+  } else {
+    std::optional<Rect> bounds = ClippedBounds(cell);
+    if (!bounds.has_value()) return;  // outside the constraint region
+    maxscore = f_.MaxScore(*bounds);
+  }
+  heap_.push_back(Entry{cell, maxscore});
   std::push_heap(heap_.begin(), heap_.end(), HeapCompare{});
 }
 
@@ -113,14 +134,14 @@ MaxScoreTraversal::Entry MaxScoreTraversal::Next() {
   ++num_processed_;
   // En-heap the per-axis neighbors one step toward lower scores
   // (Figure 6, lines 9-12).
-  CellCoords coords = grid_.Decompose(top.cell);
+  const CellCoords coords = grid_.Decompose(top.cell);
   for (int axis = 0; axis < grid_.dim(); ++axis) {
-    const int step = DescendingStep(f_, axis);
-    const std::int32_t next = coords[axis] + step;
+    const std::int32_t next = coords[axis] + step_[axis];
     if (next < 0 || next >= grid_.cells_per_axis()) continue;
     CellCoords neighbor = coords;
     neighbor[axis] = next;
-    Push(grid_.Compose(neighbor));
+    Push(step_[axis] < 0 ? top.cell - stride_[axis] : top.cell + stride_[axis],
+         neighbor);
   }
   return top;
 }

@@ -17,6 +17,7 @@
 #ifndef TOPKMON_GRID_CELL_TRAVERSAL_H_
 #define TOPKMON_GRID_CELL_TRAVERSAL_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -103,7 +104,8 @@ class MaxScoreTraversal {
   std::vector<CellIndex> RemainingFrontier() const;
 
  private:
-  void Push(CellIndex cell);
+  /// En-heaps `cell`, whose per-axis coordinates are `coords`.
+  void Push(CellIndex cell, const CellCoords& coords);
   /// Clips `cell`'s bounds against the constraint; returns nullopt when the
   /// cell does not intersect it.
   std::optional<Rect> ClippedBounds(CellIndex cell) const;
@@ -112,6 +114,11 @@ class MaxScoreTraversal {
   const ScoringFunction& f_;
   TraversalScratch* scratch_;
   const Rect* constraint_;
+  /// Per-axis step toward lower scores (-1 on increasing axes, +1 on
+  /// decreasing ones), read once from f_, and the flattened-index stride
+  /// of one step along each axis.
+  std::array<int, kMaxDims> step_{};
+  std::array<CellIndex, kMaxDims> stride_{};
   std::vector<Entry> heap_;  // std::push_heap/pop_heap max-heap on maxscore
   std::size_t num_processed_ = 0;
 };

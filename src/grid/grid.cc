@@ -23,8 +23,9 @@ void PointList::GrowLanes(std::size_t min_stride) {
   if (stride < min_stride) stride = min_stride;
   std::vector<double> lanes(static_cast<std::size_t>(dim_) * stride);
   // Copy each lane, dead head prefix included, so lane index i stays
-  // aligned with ids_[i].
-  for (int d = 0; d < dim_; ++d) {
+  // aligned with ids_[i]. The first growth has nothing to copy (and no
+  // source buffer: memcpy from null is undefined even for 0 bytes).
+  for (int d = 0; d < dim_ && !lanes_.empty(); ++d) {
     std::memcpy(lanes.data() + static_cast<std::size_t>(d) * stride,
                 lanes_.data() + static_cast<std::size_t>(d) * stride_,
                 ids_.size() * sizeof(double));
@@ -34,7 +35,13 @@ void PointList::GrowLanes(std::size_t min_stride) {
 }
 
 void PointList::MaybeCompact() {
-  if (head_ > 64 && head_ * 2 >= ids_.size()) {
+  // Drop the expired prefix once it is as long as the live part (and at
+  // least a few entries): a compaction moves at most as many entries as
+  // it drops, so expiry stays amortized O(1), and a cell never carries
+  // more dead entries than max(live, floor) — the footprint follows the
+  // window, not the number of records that have passed through it.
+  constexpr std::size_t kMinDeadPrefix = 8;
+  if (head_ >= kMinDeadPrefix && head_ >= size()) {
     const std::size_t n = ids_.size() - head_;
     std::memmove(ids_.data(), ids_.data() + head_, n * sizeof(RecordId));
     ids_.resize(n);

@@ -103,7 +103,7 @@ MonitorService::MonitorService(std::unique_ptr<MonitorEngine> engine,
   // Install the fan-out before any query can register or any cycle run,
   // so the very first delta (a query's initial result) is routed.
   engine_->SetDeltaCallback(
-      [this](const ResultDelta& delta) { hub_.Publish(delta); });
+      [this](ResultDelta delta) { RouteDelta(std::move(delta)); });
   AdoptRecoveredQueries();
   if (role == ServiceRole::kFollower) {
     applier_ = std::make_unique<JournalApplier>(*engine_, FollowerHooks());
@@ -607,7 +607,7 @@ Status MonitorService::ApplyReplicated(const JournalRecord& record) {
     Status st;
     {
       std::lock_guard<std::mutex> lock(engine_mu_);
-      st = applier_->Apply(record);
+      st = CycleLocked([this, &record] { return applier_->Apply(record); });
       if (st.ok()) {
         applied_cycle_ts_.store(applier_->last_cycle_ts(),
                                 std::memory_order_release);
@@ -657,7 +657,7 @@ Status MonitorService::ResetFollowerState() {
   }
   engine_ = std::move(fresh);
   engine_->SetDeltaCallback(
-      [this](const ResultDelta& delta) { hub_.Publish(delta); });
+      [this](ResultDelta delta) { RouteDelta(std::move(delta)); });
   applier_ = std::make_unique<JournalApplier>(*engine_, FollowerHooks());
   applied_cycle_ts_.store(0, std::memory_order_release);
   return Status::Ok();
@@ -811,6 +811,23 @@ bool MonitorService::NeedsFlush() const {
   return applied_records_ - replicated_records_ < flush_fence_;
 }
 
+void MonitorService::RouteDelta(ResultDelta delta) {
+  if (in_cycle_) {
+    cycle_deltas_.push_back(std::move(delta));
+  } else {
+    hub_.Publish(std::move(delta));
+  }
+}
+
+template <typename ApplyFn>
+Status MonitorService::CycleLocked(ApplyFn&& apply) {
+  in_cycle_ = true;
+  const Status st = apply();
+  in_cycle_ = false;
+  hub_.PublishCycle(&cycle_deltas_);
+  return st;
+}
+
 Result<JournalSnapshot> MonitorService::BuildSnapshotLocked() const {
   auto engine_snap = engine_->SnapshotState();
   if (!engine_snap.ok()) return engine_snap.status();
@@ -861,7 +878,8 @@ void MonitorService::DriverLoop() {
       JournalAppendLocked([cycle_ts, &batch](CycleJournalWriter& w) {
         return w.AppendCycle(cycle_ts, batch);
       });
-      st = engine_->ProcessCycle(cycle_ts, batch);
+      st = CycleLocked(
+          [&] { return engine_->ProcessCycle(cycle_ts, batch); });
       if (st.ok()) {
         applied_cycle_ts_.store(cycle_ts, std::memory_order_release);
       }
@@ -876,10 +894,9 @@ void MonitorService::DriverLoop() {
         }
       }
     }
-    // The cycle's deltas were published inside ProcessCycle (the delta
-    // callback runs synchronously): the batch's oldest record has now
-    // completed the ingest->publish span. One sample per cycle, the
-    // per-batch worst case.
+    // The cycle's deltas were published as the cycle ended: the batch's
+    // oldest record has now completed the ingest->publish span. One
+    // sample per cycle, the per-batch worst case.
     if (st.ok() && ingest_publish_hist_ != nullptr) {
       ingest_publish_hist_->Record(std::chrono::steady_clock::now() -
                                    oldest_push);

@@ -9,7 +9,15 @@
 //   producers --Push--> IngestQueue --DrainBatch--> driver thread
 //                                                      |  ProcessCycle
 //                                                      v
-//   sessions <--Poll--  SubscriptionHub <--Publish-- DeltaCallback
+//                                          DeltaCallback (changed queries)
+//                                                      |  collected
+//                                                      v
+//   sessions <--Poll--  SubscriptionHub <--PublishCycle-- end of cycle
+//
+// A cycle's deltas are collected while the engine runs and enter the hub
+// together once it returns: one hub lock, one publish instant and one
+// wake-up of waiting pollers per cycle. Deltas fired outside a cycle (a
+// registration's initial result) are published at once.
 //
 // Thread roles:
 //   * any number of producer threads call Ingest()/TryIngest();
@@ -509,6 +517,16 @@ class MonitorService {
   /// Seconds on the service's monotonic clock (token-bucket time base).
   double NowSeconds() const;
 
+  /// The engine's delta callback. Inside a cycle the delta is collected
+  /// into cycle_deltas_; otherwise it is published at once. Runs with
+  /// engine_mu_ held.
+  void RouteDelta(ResultDelta delta);
+
+  /// Runs one engine cycle via `apply` with its deltas collected, then
+  /// publishes them to the hub together. Caller must hold engine_mu_.
+  template <typename ApplyFn>
+  Status CycleLocked(ApplyFn&& apply);
+
   /// Builds a journal snapshot of the engine + live queries + id
   /// allocators. Caller must hold engine_mu_.
   Result<JournalSnapshot> BuildSnapshotLocked() const;
@@ -559,6 +577,9 @@ class MonitorService {
 
   /// Serializes every engine call (driver cycles and client operations).
   mutable std::mutex engine_mu_;
+  /// The current cycle's deltas (CycleLocked). Guarded by engine_mu_.
+  bool in_cycle_ = false;
+  std::vector<ResultDelta> cycle_deltas_;
 
   /// Serializes control-plane operations (Register / Unregister /
   /// CloseSession): admission, hub binding and engine registration must

@@ -50,30 +50,52 @@ void SubscriptionHub::Unbind(QueryId query) {
   routes_.erase(query);
 }
 
-void SubscriptionHub::Publish(const ResultDelta& delta) {
+bool SubscriptionHub::AppendLocked(
+    ResultDelta delta, std::chrono::steady_clock::time_point now) {
+  ++stats_.published;
+  auto route = routes_.find(delta.query);
+  if (route == routes_.end()) {
+    ++stats_.unrouted;
+    return false;
+  }
+  auto buffer = buffers_.find(route->second);
+  if (buffer == buffers_.end()) {
+    ++stats_.unrouted;
+    return false;
+  }
+  Buffer& b = buffer->second;
+  if (b.events.size() >= options_.buffer_capacity) {
+    b.events.pop_front();
+    ++b.dropped;
+    ++stats_.dropped;
+  }
+  b.events.push_back(
+      BufferedEvent{DeltaEvent{b.next_seq++, std::move(delta)}, now});
+  return true;
+}
+
+void SubscriptionHub::Publish(ResultDelta delta) {
+  bool buffered;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.published;
-    auto route = routes_.find(delta.query);
-    if (route == routes_.end()) {
-      ++stats_.unrouted;
-      return;
-    }
-    auto buffer = buffers_.find(route->second);
-    if (buffer == buffers_.end()) {
-      ++stats_.unrouted;
-      return;
-    }
-    Buffer& b = buffer->second;
-    if (b.events.size() >= options_.buffer_capacity) {
-      b.events.pop_front();
-      ++b.dropped;
-      ++stats_.dropped;
-    }
-    b.events.push_back(BufferedEvent{DeltaEvent{b.next_seq++, delta},
-                                     std::chrono::steady_clock::now()});
+    buffered =
+        AppendLocked(std::move(delta), std::chrono::steady_clock::now());
   }
-  event_cv_.notify_all();
+  if (buffered) event_cv_.notify_all();
+}
+
+void SubscriptionHub::PublishCycle(std::vector<ResultDelta>* deltas) {
+  if (deltas->empty()) return;
+  bool buffered = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto now = std::chrono::steady_clock::now();
+    for (ResultDelta& delta : *deltas) {
+      buffered |= AppendLocked(std::move(delta), now);
+    }
+  }
+  deltas->clear();
+  if (buffered) event_cv_.notify_all();
 }
 
 std::size_t SubscriptionHub::PollLocked(Buffer& buffer, std::size_t max,

@@ -7,8 +7,10 @@
 //   * Bind(query, session) routes a query's deltas to a session buffer;
 //     binding is established *before* engine registration so the initial
 //     result delta is never lost.
-//   * Publish() (driver thread, or the registration path) appends a
-//     sequence-numbered DeltaEvent to the owning session's buffer. The
+//   * PublishCycle() (driver thread, once per cycle) and Publish() (the
+//     registration path) append sequence-numbered DeltaEvents to the
+//     owning sessions' buffers. A cycle's deltas enter under one lock
+//     acquisition with one timestamp and wake waiting pollers once. The
 //     sequence is per-session and gap-free, so a consumer that observes
 //     seq jump from n to n+2 knows exactly one event was dropped.
 //   * A buffer at capacity drops its *oldest* event and counts the drop —
@@ -82,7 +84,12 @@ class SubscriptionHub {
   /// Appends `delta` to the buffer of the session its query is bound to.
   /// Unbound queries are counted (unrouted) and otherwise ignored — a
   /// query may legitimately produce one last delta mid-termination.
-  void Publish(const ResultDelta& delta);
+  void Publish(ResultDelta delta);
+
+  /// Publishes one cycle's deltas, in order, like Publish(), but under one
+  /// lock acquisition, with one publish instant and at most one wake-up of
+  /// waiting pollers. Moves the deltas out and leaves *deltas empty.
+  void PublishCycle(std::vector<ResultDelta>* deltas);
 
   /// Moves up to `max` pending events into *out; returns how many.
   std::size_t Poll(SessionId session, std::size_t max,
@@ -127,6 +134,10 @@ class SubscriptionHub {
     std::uint64_t dropped = 0;
   };
 
+  /// Routes one delta into its session's buffer; true iff it was
+  /// buffered. Caller holds mu_.
+  bool AppendLocked(ResultDelta delta,
+                    std::chrono::steady_clock::time_point now);
   std::size_t PollLocked(Buffer& buffer, std::size_t max,
                          std::vector<DeltaEvent>* out);
 

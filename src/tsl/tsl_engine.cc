@@ -31,18 +31,20 @@ Status TslEngine::RegisterQuery(const QuerySpec& spec) {
     }
     return RegisterPiecewise(spec, *fn);
   }
-  return RegisterMonotone(spec, /*report_delta=*/true);
+  return RegisterMonotone(spec, spec.id);
 }
 
-Status TslEngine::RegisterMonotone(const QuerySpec& spec, bool report_delta) {
+Status TslEngine::RegisterMonotone(const QuerySpec& spec,
+                                   QueryId reported_as) {
   const int kmax =
       kmax_override_ > 0 ? std::max(kmax_override_, spec.k)
                          : DefaultKmax(spec.k);
-  auto [it, inserted] = queries_.emplace(spec.id, QueryState(spec, kmax));
+  auto [it, inserted] =
+      queries_.emplace(spec.id, QueryState(spec, kmax, reported_as));
   ++stats_.initial_computations;
   Refill(it->second);
-  if (report_delta) {
-    delta_.Report(spec.id, last_cycle_, it->second.view.TopK());
+  if (reported_as == spec.id) {
+    delta_.Track(spec.id, last_cycle_, it->second.view.TopK());
   }
   return Status::Ok();
 }
@@ -56,7 +58,7 @@ Status TslEngine::RegisterPiecewise(const QuerySpec& spec,
   book.k = spec.k;
   book.subs.reserve(subs->size());
   for (const QuerySpec& sub : *subs) {
-    const Status st = RegisterMonotone(sub, /*report_delta=*/false);
+    const Status st = RegisterMonotone(sub, spec.id);
     if (!st.ok()) {
       for (QueryId sid : book.subs) (void)RemoveMonotone(sid);
       return st;
@@ -64,7 +66,7 @@ Status TslEngine::RegisterPiecewise(const QuerySpec& spec,
     book.subs.push_back(sub.id);
   }
   auto [it, inserted] = piecewise_.emplace(spec.id, std::move(book));
-  delta_.Report(spec.id, last_cycle_, MergedPiecewise(it->second));
+  delta_.Track(spec.id, last_cycle_, MergedPiecewise(it->second));
   return Status::Ok();
 }
 
@@ -110,7 +112,10 @@ Status TslEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
       }
       ++stats_.points_scored;
       const double score = state.spec.function->Score(p.position);
-      if (state.view.OnArrival(p.id, score)) ++stats_.result_changes;
+      if (state.view.OnArrival(p.id, score)) {
+        ++stats_.result_changes;
+        delta_.MarkChanged(state.reported_as);
+      }
     }
   }
   // Expirations: remove from the sorted lists and from any view that
@@ -126,7 +131,10 @@ Status TslEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
       }
       ++stats_.points_scored;
       const double score = state.spec.function->Score(p.position);
-      if (state.view.OnExpiry(p.id, score)) ++stats_.result_changes;
+      if (state.view.OnExpiry(p.id, score)) {
+        ++stats_.result_changes;
+        delta_.MarkChanged(state.reported_as);
+      }
     }
   }
   for (auto& [qid, state] : queries_) {
@@ -136,18 +144,12 @@ Status TslEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
       ++stats_.view_refills;
       ++stats_.recomputations;
       Refill(state);
+      delta_.MarkChanged(state.reported_as);
     }
   }
   last_cycle_ = now;
-  if (delta_.enabled()) {
-    for (const auto& [qid, state] : queries_) {
-      if (IsInternalQueryId(qid)) continue;  // only parents are reported
-      delta_.Report(qid, now, state.view.TopK());
-    }
-    for (const auto& [pid, book] : piecewise_) {
-      delta_.Report(pid, now, MergedPiecewise(book));
-    }
-  }
+  delta_.ReportChanged(
+      now, [this](QueryId id) { return CurrentResult(id).value(); });
   stats_.maintenance_seconds += watch.ElapsedSeconds();
   return Status::Ok();
 }

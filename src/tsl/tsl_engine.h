@@ -63,17 +63,21 @@ class TslEngine final : public MonitorEngine {
 
  private:
   struct QueryState {
-    QueryState(QuerySpec s, int kmax)
-        : spec(std::move(s)), view(spec.k, kmax) {}
+    QueryState(QuerySpec s, int kmax, QueryId reported)
+        : spec(std::move(s)), view(spec.k, kmax), reported_as(reported) {}
     QuerySpec spec;
     TopKView view;
+    /// The query whose reported result this entry feeds: its own id, or
+    /// its piecewise parent's.
+    QueryId reported_as;
   };
 
   void Refill(QueryState& state);
 
-  /// Pre-validated registration body; internal piecewise sub-queries
-  /// skip the delta report (only the parent's merged result is visible).
-  Status RegisterMonotone(const QuerySpec& spec, bool report_delta);
+  /// Pre-validated registration body; `reported_as` is the query whose
+  /// result the entry feeds (its own id, or the piecewise parent's — only
+  /// the parent's merged result is visible).
+  Status RegisterMonotone(const QuerySpec& spec, QueryId reported_as);
   Status RemoveMonotone(QueryId id);
   Status RegisterPiecewise(const QuerySpec& spec,
                            const PiecewiseFunction& fn);

@@ -129,25 +129,32 @@ TEST(ClusterE2ETest, ScatterGatherMatchesSingleNodeBruteForce) {
   }
 
   // Subscriber threads long-poll the merged stream; subscriber 1 drops
-  // and resumes its partition-1 connection mid-run.
+  // and resumes its partition-1 connection mid-run, at the point the
+  // test picks: after half of the phases, with ingest held until the
+  // resume completes.
   std::atomic<bool> done{false};
+  std::atomic<bool> reconnect_now{false};
+  std::atomic<bool> reconnect_done{false};
   std::vector<std::vector<DeltaEvent>> received(kSubscribers);
   std::atomic<bool> reconnect_resumed{false};
   std::vector<std::thread> sub_threads;
   for (int s = 0; s < kSubscribers; ++s) {
     sub_threads.emplace_back([&, s] {
       ClusterRouter& router = *subs[static_cast<std::size_t>(s)];
-      bool reconnected = s == 0;  // only subscriber 1 reconnects
+      const bool reconnects = s == 1;  // only subscriber 1 reconnects
+      testing::RaiseOnExit release(reconnects ? &reconnect_done : nullptr);
+      bool reconnected = false;
       while (!done.load()) {
         auto events =
             router.PollDeltas(1024, std::chrono::milliseconds(20));
         ASSERT_TRUE(events.ok()) << events.status();
         auto& sink = received[static_cast<std::size_t>(s)];
         sink.insert(sink.end(), events->begin(), events->end());
-        if (!reconnected && sink.size() >= 5) {
+        if (reconnects && !reconnected && reconnect_now.load()) {
           TOPKMON_ASSERT_OK(router.Reconnect(1));
           reconnect_resumed.store(router.resumed(1));
           reconnected = true;
+          reconnect_done.store(true);
         }
       }
       // Input has stopped (final FlushAll done): pull the remaining
@@ -205,6 +212,10 @@ TEST(ClusterE2ETest, ScatterGatherMatchesSingleNodeBruteForce) {
     }
     for (std::thread& t : phase_threads) t.join();
     TOPKMON_ASSERT_OK((*cluster)->FlushAll());
+    if (phase == kPhases / 2) {
+      reconnect_now.store(true);
+      testing::AwaitFlag(reconnect_done);
+    }
   }
   done.store(true);
   for (std::thread& t : sub_threads) t.join();

@@ -106,22 +106,28 @@ TEST(NetEndToEndTest, TcpClientsSeeGapFreeDeltasMatchingBruteForce) {
   }
 
   // Subscriber threads long-poll their delta streams. Subscriber 1
-  // additionally drops its connection mid-run and resumes by label.
+  // additionally drops its connection mid-run and resumes by label, at
+  // the point the test picks: after the first half of the stream has
+  // been applied, with the producers held until the resume completes.
   std::atomic<bool> done{false};
+  std::atomic<bool> reconnect_now{false};
+  std::atomic<bool> reconnect_done{false};
   std::vector<std::vector<DeltaEvent>> received(2);
   bool resumed_ok = false;
   std::vector<std::thread> threads;
   for (int s = 0; s < 2; ++s) {
     threads.emplace_back([&, s] {
       std::unique_ptr<MonitorClient> client = std::move(subscribers[s]);
-      bool reconnected = s == 0;  // only sub-b (s==1) reconnects
+      const bool reconnects = s == 1;  // only sub-b reconnects
+      testing::RaiseOnExit release(reconnects ? &reconnect_done : nullptr);
+      bool reconnected = false;
       while (true) {
         auto events =
             client->PollDeltas(512, std::chrono::milliseconds(20));
         ASSERT_TRUE(events.ok()) << events.status();
         received[s].insert(received[s].end(), events->begin(),
                            events->end());
-        if (!reconnected && received[s].size() >= 10) {
+        if (reconnects && !reconnected && reconnect_now.load()) {
           // Mid-run reconnect: drop the socket (session survives), come
           // back with resume, keep polling the same stream.
           client.reset();
@@ -131,6 +137,7 @@ TEST(NetEndToEndTest, TcpClientsSeeGapFreeDeltasMatchingBruteForce) {
           resumed_ok = (*again)->resumed();
           client = std::move(*again);
           reconnected = true;
+          reconnect_done.store(true);
         }
         if (events->empty() && done.load()) break;
       }
@@ -138,33 +145,48 @@ TEST(NetEndToEndTest, TcpClientsSeeGapFreeDeltasMatchingBruteForce) {
     });
   }
 
-  // Producer threads ingest concurrently over their own connections; a
-  // shared atomic clock keeps timestamps globally unique.
-  std::atomic<Timestamp> clock{1};
-  std::vector<std::thread> producers;
+  // Producers ingest concurrently over their own connections, in two
+  // halves with the reconnect between them; a shared atomic clock keeps
+  // timestamps globally unique.
+  std::vector<std::unique_ptr<MonitorClient>> producer_clients;
+  std::vector<std::unique_ptr<StreamGenerator>> gens;
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      auto client = MonitorClient::Connect(
-          "127.0.0.1", port, "prod-" + std::to_string(p),
-          /*resume=*/false);
-      ASSERT_TRUE(client.ok()) << client.status();
-      auto gen = MakeGenerator(Distribution::kIndependent, kDim,
-                               1000 + static_cast<std::uint64_t>(p));
-      int sent = 0;
-      while (sent < kRecordsPerProducer) {
-        std::vector<Record> batch;
-        for (std::size_t i = 0;
-             i < kBatch && sent < kRecordsPerProducer; ++i, ++sent) {
-          batch.emplace_back(0, gen->NextPoint(), clock.fetch_add(1));
-        }
-        const auto ack = (*client)->Ingest(std::move(batch));
-        ASSERT_TRUE(ack.ok()) << ack.status();
-        ASSERT_EQ(ack->rejected, 0u) << ack->first_error;
-      }
-      TOPKMON_ASSERT_OK((*client)->Close(/*close_session=*/false));
-    });
+    auto client = MonitorClient::Connect(
+        "127.0.0.1", port, "prod-" + std::to_string(p), /*resume=*/false);
+    ASSERT_TRUE(client.ok()) << client.status();
+    producer_clients.push_back(std::move(*client));
+    gens.push_back(MakeGenerator(Distribution::kIndependent, kDim,
+                                 1000 + static_cast<std::uint64_t>(p)));
   }
-  for (std::thread& t : producers) t.join();
+  std::atomic<Timestamp> clock{1};
+  const auto produce = [&](int records) {
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        int sent = 0;
+        while (sent < records) {
+          std::vector<Record> batch;
+          for (std::size_t i = 0; i < kBatch && sent < records;
+               ++i, ++sent) {
+            batch.emplace_back(0, gens[p]->NextPoint(), clock.fetch_add(1));
+          }
+          const auto ack = producer_clients[p]->Ingest(std::move(batch));
+          ASSERT_TRUE(ack.ok()) << ack.status();
+          ASSERT_EQ(ack->rejected, 0u) << ack->first_error;
+        }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+  };
+  const int first_half = kRecordsPerProducer / 2;
+  produce(first_half);
+  TOPKMON_ASSERT_OK(service.Flush());
+  reconnect_now.store(true);
+  testing::AwaitFlag(reconnect_done);
+  produce(kRecordsPerProducer - first_half);
+  for (auto& client : producer_clients) {
+    TOPKMON_ASSERT_OK(client->Close(/*close_session=*/false));
+  }
   TOPKMON_ASSERT_OK(service.Flush());
   done.store(true);
   for (std::thread& t : threads) t.join();

@@ -250,6 +250,48 @@ TEST(ReplicaFollowerServiceTest, WritesAreRefusedWithRedirect) {
   svc.Shutdown();
 }
 
+// A replicated cycle publishes its deltas as the cycle is applied,
+// together: a reader blocked in WaitDeltas gets the whole cycle at once.
+TEST(ReplicaFollowerServiceTest, AppliedCyclesDeliverTheirDeltas) {
+  ScopedTempDir dir;
+  ServiceOptions opt;
+  opt.journal.dir = dir.path() + "/repl";
+  auto follower = MonitorService::OpenFollower(BruteFactory(100), opt,
+                                               "leader:1");
+  ASSERT_TRUE(follower.ok()) << follower.status();
+  MonitorService& svc = **follower;
+  const auto specs = MakeRandomQueries(kDim, 3, 2, 8);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    JournalRecord reg;
+    reg.type = JournalRecordType::kRegister;
+    reg.query.spec = specs[i];
+    reg.query.spec.id = static_cast<QueryId>(i + 1);
+    reg.query.owner_label = "dash";
+    TOPKMON_ASSERT_OK(svc.ApplyReplicated(reg));
+  }
+  const auto session = svc.FindSession("dash");
+  ASSERT_TRUE(session.ok()) << session.status();
+
+  std::vector<DeltaEvent> events;
+  std::size_t got = 0;
+  std::thread reader([&] {
+    got = svc.WaitDeltas(*session, 1024, std::chrono::seconds(10), &events);
+  });
+  JournalRecord cycle;
+  cycle.type = JournalRecordType::kCycle;
+  cycle.cycle_ts = 1;
+  cycle.batch = MakeBatch(0, 8, 1);
+  TOPKMON_ASSERT_OK(svc.ApplyReplicated(cycle));
+  reader.join();
+  // Eight records into an empty window change all three results.
+  ASSERT_EQ(got, 3u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, i + 1);
+    EXPECT_EQ(events[i].delta.when, 1);
+    EXPECT_EQ(events[i].delta.added.size(), 2u);
+  }
+}
+
 TEST(ReplicaFollowerServiceTest, ReplayRoutesDeltasAndPromoteAcceptsWrites) {
   ScopedTempDir dir;
   ServiceOptions opt;

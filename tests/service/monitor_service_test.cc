@@ -12,6 +12,8 @@
 #include "core/brute_force_engine.h"
 #include "core/sharded_engine.h"
 #include "core/tma_engine.h"
+#include "stream/generators.h"
+#include "stream/record_arena.h"
 #include "tests/test_util.h"
 
 namespace topkmon {
@@ -34,6 +36,14 @@ std::unique_ptr<MonitorEngine> MakeShardedTma(int shards) {
     opt.cell_budget = 256;
     return std::unique_ptr<MonitorEngine>(new TmaEngine(opt));
   });
+}
+
+std::unique_ptr<MonitorEngine> MakeTma() {
+  GridEngineOptions opt;
+  opt.dim = kDim;
+  opt.window = WindowSpec::Count(kWindow);
+  opt.cell_budget = 256;
+  return std::make_unique<TmaEngine>(opt);
 }
 
 ServiceOptions FastOptions() {
@@ -283,6 +293,79 @@ TEST(MonitorServiceTest, SlowSubscriberLosesHistoryNotFreshness) {
   EXPECT_EQ(events.back().delta.query, id);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.deltas_dropped, dropped);
+}
+
+// Admits `n` fresh records stamped `ts` as one whole batch, the way the
+// TCP server admits an ingest frame: they form exactly one cycle.
+void IngestOneCycle(MonitorService& service, SessionId session,
+                    std::size_t n, Timestamp ts, std::uint64_t seed) {
+  auto gen = MakeGenerator(Distribution::kIndependent, kDim, seed);
+  RecordArena& arena = service.ingest_arena();
+  Record* records = arena.Allocate(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    records[i].position = gen->NextPoint();
+    records[i].arrival = ts;
+  }
+  Status error;
+  ASSERT_EQ(service.TryIngestBatch(session, records, n, &error), n)
+      << error.ToString();
+}
+
+// A cycle's deltas enter the hub together: a subscriber blocked in
+// WaitDeltas before the cycle wakes once and gets all of them, in
+// sequence order.
+TEST(MonitorServiceTest, OneWaitDeltasReturnsAWholeCycle) {
+  ServiceOptions opt = FastOptions();
+  opt.ingest.slack = 0;
+  MonitorService service(MakeTma(), opt);
+  const SessionId session = *service.OpenSession("subscriber");
+  // Registered on an empty window: no initial-result deltas.
+  for (const QuerySpec& q : MakeRandomQueries(kDim, 8, 3, 21)) {
+    ASSERT_TRUE(service.Register(session, q).ok());
+  }
+  std::atomic<int> cycles{0};
+  service.SetCycleObserver([&cycles](Timestamp, RecordSpan) { ++cycles; });
+  std::vector<DeltaEvent> events;
+  std::size_t got = 0;
+  std::thread waiter([&] {
+    got = service.WaitDeltas(session, 1024, std::chrono::seconds(10),
+                             &events);
+  });
+  IngestOneCycle(service, session, 50, 1, 5);
+  waiter.join();
+  TOPKMON_ASSERT_OK(service.Flush());
+  service.SetCycleObserver(nullptr);
+  EXPECT_EQ(cycles.load(), 1);
+  // 50 records into an empty window change every query's result.
+  ASSERT_EQ(got, 8u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, i + 1);
+    EXPECT_EQ(events[i].delta.when, 1);
+  }
+  std::vector<DeltaEvent> rest;
+  EXPECT_EQ(service.PollDeltas(session, 1024, &rest), 0u);
+}
+
+// Outside a cycle a delta is published at once: a registration's initial
+// result is pollable as soon as Register returns, with no cycle between.
+TEST(MonitorServiceTest, RegistrationDeltaArrivesWithoutACycle) {
+  ServiceOptions opt = FastOptions();
+  opt.ingest.slack = 0;
+  MonitorService service(MakeTma(), opt);
+  const SessionId session = *service.OpenSession("subscriber");
+  IngestOneCycle(service, session, 50, 1, 9);
+  TOPKMON_ASSERT_OK(service.Flush());
+  const std::uint64_t cycles = service.stats().cycles;
+  const auto id =
+      service.Register(session, MakeRandomQueries(kDim, 1, 4, 3)[0]);
+  ASSERT_TRUE(id.ok()) << id.status();
+  std::vector<DeltaEvent> events;
+  ASSERT_EQ(service.PollDeltas(session, 16, &events), 1u);
+  EXPECT_EQ(events[0].seq, 1u);
+  EXPECT_EQ(events[0].delta.query, *id);
+  EXPECT_EQ(events[0].delta.added.size(), 4u);
+  EXPECT_TRUE(events[0].delta.removed.empty());
+  EXPECT_EQ(service.stats().cycles, cycles);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include "tests/test_util.h"
 
@@ -108,6 +110,80 @@ TEST(SubscriptionHubTest, WaitPollWakesOnPublish) {
   EXPECT_EQ(n, 1u);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].delta.query, 10u);
+}
+
+// A cycle's deltas enter together: a poller blocked before the cycle
+// wakes once and finds the whole cycle, in sequence order, with one
+// publish instant for all of it.
+TEST(SubscriptionHubTest, PublishCycleDeliversTheWholeCycleToOneWait) {
+  SubscriptionHub hub(HubOptions{});
+  hub.Attach(1);
+  hub.Attach(2);
+  TOPKMON_ASSERT_OK(hub.Bind(10, 1));
+  TOPKMON_ASSERT_OK(hub.Bind(11, 1));
+  TOPKMON_ASSERT_OK(hub.Bind(20, 2));
+  std::vector<ResultDelta> cycle;
+  for (RecordId r = 1; r <= 3; ++r) {
+    cycle.push_back(MakeDelta(10, 5, r));
+    cycle.push_back(MakeDelta(11, 5, r));
+    cycle.push_back(MakeDelta(20, 5, r));
+  }
+  cycle.push_back(MakeDelta(99, 5, 1));  // unbound: counted, not buffered
+  std::vector<DeltaEvent> events;
+  std::size_t n = 0;
+  std::thread waiter([&] {
+    n = hub.WaitPoll(1, 100, std::chrono::milliseconds(5000), &events);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  hub.PublishCycle(&cycle);
+  waiter.join();
+  EXPECT_TRUE(cycle.empty());
+  ASSERT_EQ(n, 6u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, i + 1);
+    EXPECT_EQ(events[i].delta.query, i % 2 == 0 ? 10u : 11u);
+    EXPECT_EQ(events[i].delta.added[0].id, i / 2 + 1);
+  }
+  events.clear();
+  EXPECT_EQ(hub.Poll(2, 100, &events), 3u);
+  const HubStats stats = hub.stats();
+  EXPECT_EQ(stats.published, 10u);
+  EXPECT_EQ(stats.unrouted, 1u);
+}
+
+// One lock acquisition per cycle: a poller racing the publisher sees
+// whole cycles or nothing, never part of one.
+TEST(SubscriptionHubTest, PollersNeverSeePartOfACycle) {
+  constexpr std::size_t kCycles = 400;
+  constexpr std::size_t kPerCycle = 256;
+  HubOptions options;
+  options.buffer_capacity = kCycles * kPerCycle;
+  SubscriptionHub hub(options);
+  hub.Attach(1);
+  TOPKMON_ASSERT_OK(hub.Bind(10, 1));
+  std::atomic<bool> published{false};
+  std::size_t polled = 0;
+  std::thread poller([&] {
+    std::vector<DeltaEvent> events;
+    bool last = false;
+    while (!last) {
+      last = published.load();
+      events.clear();
+      const std::size_t n = hub.Poll(1, kCycles * kPerCycle, &events);
+      EXPECT_EQ(n % kPerCycle, 0u) << "a poll split a cycle";
+      polled += n;
+    }
+  });
+  for (std::size_t c = 0; c < kCycles; ++c) {
+    std::vector<ResultDelta> cycle;
+    for (std::size_t i = 0; i < kPerCycle; ++i) {
+      cycle.push_back(MakeDelta(10, static_cast<Timestamp>(c), i));
+    }
+    hub.PublishCycle(&cycle);
+  }
+  published.store(true);
+  poller.join();
+  EXPECT_EQ(polled, kCycles * kPerCycle);
 }
 
 TEST(SubscriptionHubTest, WaitPollTimesOutEmpty) {
