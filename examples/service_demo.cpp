@@ -39,8 +39,8 @@
 //
 // Replication quickstart (three terminals):
 //   service_demo --mode=serve --journal=/tmp/leaderj --port=4585
-//   service_demo --mode=follower --journal=/tmp/replj --port=4585 \
-//                --listen=4586
+//   service_demo --mode=follower --journal=/tmp/replj --port=4585
+//                --listen=4586                   # (one command line)
 //   service_demo --mode=client --port=4585 --label=dash   # writes
 //   service_demo --mode=client --port=4586 --label=dash --records=0
 //                                       # reads the replica's stream
@@ -84,7 +84,6 @@
 
 #include "cluster/local_cluster.h"
 #include "cluster/router.h"
-#include "core/sharded_engine.h"
 #include "core/tma_engine.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -107,14 +106,10 @@ namespace {
 std::function<std::unique_ptr<MonitorEngine>()> EngineFactory(
     std::size_t window) {
   return [window] {
-    return std::unique_ptr<MonitorEngine>(new ShardedEngine(
-        2,
-        [window] {
-          GridEngineOptions opt;
-          opt.dim = 2;
-          opt.window = WindowSpec::Count(window);
-          return std::unique_ptr<MonitorEngine>(new TmaEngine(opt));
-        }));
+    GridEngineOptions opt;
+    opt.dim = 2;
+    opt.window = WindowSpec::Count(window);
+    return std::unique_ptr<MonitorEngine>(new TmaEngine(opt));
   };
 }
 
@@ -980,8 +975,8 @@ int main(int argc, char** argv) {
   if (*admin_port_flag > 65535) {
     std::fprintf(stderr,
                  "INVALID_ARGUMENT: flag --admin_port expects a port in "
-                 "[0, 65535], got %d\n",
-                 *admin_port_flag);
+                 "[0, 65535], got %ld\n",
+                 static_cast<long>(*admin_port_flag));
     return 1;
   }
   const auto journal_flag = flags->GetString("journal", "");

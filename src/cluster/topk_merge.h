@@ -1,8 +1,7 @@
 // K-merge of per-partition top-k lists into the global top-k.
 //
-// Correctness rests on the same containment argument ShardedEngine uses
-// in-process (src/core/sharded_engine.cc): every record lives on exactly
-// one partition, so each of the global k best is among its own
+// Correctness rests on a containment argument: every record lives on
+// exactly one partition, so each of the global k best is among its own
 // partition's k best — the global top-k is a subset of the union of the
 // per-partition top-k lists, and merging those lists loses nothing.
 //

@@ -9,9 +9,7 @@ namespace topkmon {
 
 BruteForceEngine::BruteForceEngine(int dim, const WindowSpec& window)
     : dim_(dim),
-      window_(window.kind == WindowKind::kCountBased
-                  ? SlidingWindow::CountBased(window.capacity)
-                  : SlidingWindow::TimeBased(window.span)) {}
+      window_(SlidingWindow::FromSpec(window)) {}
 
 Status BruteForceEngine::RegisterQuery(const QuerySpec& spec) {
   TOPKMON_RETURN_IF_ERROR(spec.Validate(dim_));

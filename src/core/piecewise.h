@@ -6,11 +6,9 @@
 // monotone." This header implements exactly that: the caller supplies
 // the partition — a set of axis-parallel sub-domains, each with a
 // monotone function that agrees with the global preference function on
-// that sub-domain. Since PR 7 the engines perform the decomposition
-// themselves (core/piecewise_router.h): registering a QuerySpec whose
-// function is a PiecewiseFunction works on every engine. The explicit
-// PiecewiseTopKQuery helper below predates that and remains for callers
-// that want the sub-queries under their own ids.
+// that sub-domain. The engines perform the decomposition themselves
+// (core/piecewise_router.h): registering a QuerySpec whose function is a
+// PiecewiseFunction works on every engine.
 //
 // Example: f(p) = x2 - |x1 - 0.5| is not monotone in x1, but splits into
 //   piece 1: x1 in [0, 0.5], f = x1 - 0.5 + x2   (increasing, increasing)
@@ -25,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/engine.h"
 #include "core/query.h"
 
 namespace topkmon {
@@ -48,11 +45,11 @@ struct MonotonePiece {
 /// IsMonotone() is false — the global function has no per-dimension
 /// direction — but every engine accepts it at registration: TMA, SMA
 /// and TSL decompose it internally into one constrained monotone
-/// sub-query per piece (core/piecewise_router.h), ShardedEngine
-/// forwards to its inner engines, and BruteForce evaluates Score
-/// directly. Being a ScoringFunction gives it a wire/journal encoding
-/// (family tag 4, journal format v2): a piecewise query registered
-/// against a journaling service survives recovery.
+/// sub-query per piece (core/piecewise_router.h, driven by
+/// core/query_table.h), and BruteForce evaluates Score directly. Being
+/// a ScoringFunction gives it a wire/journal encoding (family tag 4,
+/// journal format v2): a piecewise query registered against a
+/// journaling service survives recovery.
 class PiecewiseFunction final : public ScoringFunction {
  public:
   /// Validates and wraps `pieces`: 1..255 pieces, uniform dimensionality
@@ -81,45 +78,6 @@ class PiecewiseFunction final : public ScoringFunction {
 
   std::vector<MonotonePiece> pieces_;
   int dim_;
-};
-
-/// A continuous top-k query with a piecewise-monotone preference
-/// function, evaluated as one constrained sub-query per piece.
-///
-/// Sub-queries occupy the id range [base_id, base_id + pieces). The
-/// object is move-only and unregisters its sub-queries via Unregister()
-/// (not automatically: destruction without Unregister leaves them
-/// running, mirroring the raw engine API).
-class PiecewiseTopKQuery {
- public:
-  /// Registers one constrained top-k sub-query per piece on `engine`.
-  /// Validates that every piece has a function of the engine's
-  /// dimensionality and a domain inside the unit workspace. On failure,
-  /// any sub-queries registered so far are rolled back.
-  static Result<PiecewiseTopKQuery> Register(
-      MonitorEngine* engine, QueryId base_id, int k,
-      std::vector<MonotonePiece> pieces);
-
-  /// The global top-k: the k best entries across all pieces, deduplicated
-  /// by record id (boundary records may be reported by several pieces).
-  Result<std::vector<ResultEntry>> CurrentResult() const;
-
-  /// Terminates all sub-queries.
-  Status Unregister();
-
-  QueryId base_id() const { return base_id_; }
-  int k() const { return k_; }
-  std::size_t num_pieces() const { return num_pieces_; }
-
- private:
-  PiecewiseTopKQuery(MonitorEngine* engine, QueryId base_id, int k,
-                     std::size_t num_pieces)
-      : engine_(engine), base_id_(base_id), k_(k), num_pieces_(num_pieces) {}
-
-  MonitorEngine* engine_;
-  QueryId base_id_;
-  int k_;
-  std::size_t num_pieces_;
 };
 
 }  // namespace topkmon

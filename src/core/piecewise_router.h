@@ -1,13 +1,10 @@
 // Engine-internal decomposition of piecewise-monotone scoring specs.
 //
-// PR 7 closes the engine-side scenario gap: TMA, SMA and TSL accept a
-// QuerySpec whose function is a PiecewiseFunction by registering one
-// constrained monotone sub-query per piece in their ordinary query
-// tables — the same construction PiecewiseTopKQuery performs from the
-// outside (core/piecewise.h), moved inside the engine so the service
-// tier, the journal replay path and plain callers need no special
-// casing. ShardedEngine inherits the capability by forwarding specs to
-// its inner engines.
+// TMA, SMA and TSL accept a QuerySpec whose function is a
+// PiecewiseFunction by registering one constrained monotone sub-query
+// per piece in their shared query table (core/query_table.h), so the
+// service tier, the journal replay path and plain callers need no
+// special casing.
 //
 // Sub-queries draw their ids from the reserved upper half of the
 // QueryId space ([kInternalQueryIdBase, 2^32)). Every engine refuses

@@ -4,105 +4,21 @@
 
 namespace topkmon {
 
-namespace {
-
-SlidingWindow MakeWindow(const WindowSpec& spec) {
-  return spec.kind == WindowKind::kCountBased
-             ? SlidingWindow::CountBased(spec.capacity)
-             : SlidingWindow::TimeBased(spec.span);
-}
-
-}  // namespace
-
 SmaEngine::SmaEngine(const GridEngineOptions& options)
-    : grid_(options.dim, options.ResolvedCellsPerAxis()),
-      window_(MakeWindow(options.window)) {}
+    : QueryTableEngine(options.window),
+      grid_(options.dim, options.ResolvedCellsPerAxis()) {}
 
-Status SmaEngine::RegisterQuery(const QuerySpec& spec) {
-  TOPKMON_RETURN_IF_ERROR(spec.Validate(dim()));
-  if (IsInternalQueryId(spec.id)) {
-    return Status::InvalidArgument(
-        "query id " + std::to_string(spec.id) +
-        " is in the range reserved for engine-internal sub-queries");
-  }
-  if (queries_.count(spec.id) > 0 || piecewise_.count(spec.id) > 0) {
-    return Status::AlreadyExists("query id " + std::to_string(spec.id) +
-                                 " already registered");
-  }
-  if (!spec.function->IsMonotone()) {
-    const auto* fn =
-        dynamic_cast<const PiecewiseFunction*>(spec.function.get());
-    if (fn == nullptr) {
-      return Status::Unimplemented(
-          "SMA requires a per-dimension monotone or piecewise-monotone "
-          "scoring function; got '" + spec.function->ToString() + "'");
-    }
-    return RegisterPiecewise(spec, *fn);
-  }
-  return RegisterMonotone(spec, spec.id);
+SmaQueryState SmaEngine::InitialState(QueryId id, const QuerySpec& spec) {
+  SmaQueryState state(spec.k);
+  RecomputeFromScratch(id, spec, state);
+  return state;
 }
 
-Status SmaEngine::RegisterMonotone(const QuerySpec& spec,
-                                   QueryId reported_as) {
-  auto [it, inserted] =
-      queries_.emplace(spec.id, QueryState(spec, reported_as));
-  ++stats_.initial_computations;
-  RecomputeFromScratch(spec.id, it->second);
-  if (reported_as == spec.id) {
-    delta_.Track(spec.id, last_cycle_, it->second.skyband.TopK());
-  }
-  return Status::Ok();
-}
-
-Status SmaEngine::RegisterPiecewise(const QuerySpec& spec,
-                                    const PiecewiseFunction& fn) {
-  Result<std::vector<QuerySpec>> subs =
-      DecomposePiecewise(spec, fn, &next_internal_id_);
-  if (!subs.ok()) return subs.status();
-  PiecewiseBook book;
-  book.k = spec.k;
-  book.subs.reserve(subs->size());
-  for (const QuerySpec& sub : *subs) {
-    const Status st = RegisterMonotone(sub, spec.id);
-    if (!st.ok()) {
-      for (QueryId sid : book.subs) (void)RemoveMonotone(sid);
-      return st;
-    }
-    book.subs.push_back(sub.id);
-  }
-  auto [it, inserted] = piecewise_.emplace(spec.id, std::move(book));
-  delta_.Track(spec.id, last_cycle_, MergedPiecewise(it->second));
-  return Status::Ok();
-}
-
-Status SmaEngine::UnregisterQuery(QueryId id) {
-  auto pit = piecewise_.find(id);
-  if (pit != piecewise_.end()) {
-    for (QueryId sid : pit->second.subs) (void)RemoveMonotone(sid);
-    piecewise_.erase(pit);
-    delta_.Forget(id);
-    return Status::Ok();
-  }
-  if (IsInternalQueryId(id)) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  return RemoveMonotone(id);
-}
-
-Status SmaEngine::RemoveMonotone(QueryId id) {
-  auto it = queries_.find(id);
-  if (it == queries_.end()) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  const QuerySpec& spec = it->second.spec;
+void SmaEngine::Release(QueryId id, const Entry& entry) {
+  const QuerySpec& spec = entry.spec;
   const Rect* constraint =
       spec.constraint.has_value() ? &*spec.constraint : nullptr;
   RemoveAllInfluence(grid_, *spec.function, id, &scratch_, constraint);
-  queries_.erase(it);
-  delta_.Forget(id);
-  return Status::Ok();
 }
 
 Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
@@ -116,13 +32,14 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     grid_.InsertPoint(cell, p.id, p.position);
     ++stats_.arrivals;
     for (QueryId qid : grid_.InfluenceList(cell)) {
-      QueryState& state = queries_.at(qid);
-      if (state.spec.constraint.has_value() &&
-          !state.spec.constraint->Contains(p.position)) {
+      Entry& entry = queries_.at(qid);
+      if (entry.spec.constraint.has_value() &&
+          !entry.spec.constraint->Contains(p.position)) {
         continue;
       }
       ++stats_.points_scored;
-      const double score = state.spec.function->Score(p.position);
+      const double score = entry.spec.function->Score(p.position);
+      SmaQueryState& state = entry.state;
       if (score >= state.top_score) {
         stats_.skyband_evictions += state.skyband.Insert(p.id, score);
         ++stats_.skyband_insertions;
@@ -136,7 +53,7 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     grid_.ErasePointFifo(cell, p.id);
     ++stats_.expirations;
     for (QueryId qid : grid_.InfluenceList(cell)) {
-      QueryState& state = queries_.at(qid);
+      SmaQueryState& state = queries_.at(qid).state;
       // An expiring record found in the skyband is necessarily its
       // earliest-arrival entry and a member of the current top-k
       // (Section 5, footnote 5); its removal affects no dominance counter.
@@ -144,26 +61,24 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     }
   }
   // -- Report / refill (lines 17-22) ----------------------------------------
-  for (auto& [qid, state] : queries_) {
+  for (auto& [qid, entry] : queries_) {
+    SmaQueryState& state = entry.state;
     if (!state.changed) continue;
     state.changed = false;
     ++stats_.result_changes;
-    delta_.MarkChanged(state.reported_as);
-    if (state.skyband.size() < static_cast<std::size_t>(state.spec.k) &&
+    delta_.MarkChanged(entry.reported_as);
+    if (state.skyband.size() < static_cast<std::size_t>(entry.spec.k) &&
         window_.size() > 0) {
       ++stats_.recomputations;
-      RecomputeFromScratch(qid, state);
+      RecomputeFromScratch(qid, entry.spec, state);
     }
   }
-  last_cycle_ = now;
-  delta_.ReportChanged(
-      now, [this](QueryId id) { return CurrentResult(id).value(); });
-  stats_.maintenance_seconds += watch.ElapsedSeconds();
+  EndCycle(now, watch);
   return Status::Ok();
 }
 
-void SmaEngine::RecomputeFromScratch(QueryId id, QueryState& state) {
-  const QuerySpec& spec = state.spec;
+void SmaEngine::RecomputeFromScratch(QueryId id, const QuerySpec& spec,
+                                     SmaQueryState& state) {
   const Rect* constraint =
       spec.constraint.has_value() ? &*spec.constraint : nullptr;
   const TopKComputation computation =
@@ -177,38 +92,14 @@ void SmaEngine::RecomputeFromScratch(QueryId id, QueryState& state) {
                         id, &scratch_);
 }
 
-Result<std::vector<ResultEntry>> SmaEngine::CurrentResult(QueryId id) const {
-  auto pit = piecewise_.find(id);
-  if (pit != piecewise_.end()) return MergedPiecewise(pit->second);
-  auto it = queries_.find(id);
-  if (it == queries_.end() || IsInternalQueryId(id)) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  return it->second.skyband.TopK();
-}
-
-std::vector<ResultEntry> SmaEngine::MergedPiecewise(
-    const PiecewiseBook& book) const {
-  std::vector<ResultEntry> merged;
-  for (QueryId sid : book.subs) {
-    const std::vector<ResultEntry> entries = queries_.at(sid).skyband.TopK();
-    merged.insert(merged.end(), entries.begin(), entries.end());
-  }
-  return MergePiecewiseTopK(book.k, std::move(merged));
-}
-
 MemoryBreakdown SmaEngine::Memory() const {
   MemoryBreakdown mb = grid_.Memory();
   mb.Add("window", window_.MemoryBytes());
-  std::size_t query_bytes = 0;
-  for (const auto& [qid, state] : queries_) {
-    // O(d + 3k): function parameters plus <id, score, DC> per skyband
-    // entry (Section 6).
-    query_bytes += sizeof(QueryState) + state.skyband.MemoryBytes() +
-                   static_cast<std::size_t>(dim()) * sizeof(double);
-  }
-  mb.Add("query_table", query_bytes);
+  // O(d + 3k): function parameters plus <id, score, DC> per skyband
+  // entry (Section 6).
+  mb.Add("query_table", TableBytes([](const SmaQueryState& state) {
+           return state.skyband.MemoryBytes();
+         }));
   mb.Add("scratch", scratch_.MemoryBytes());
   return mb;
 }
@@ -216,8 +107,8 @@ MemoryBreakdown SmaEngine::Memory() const {
 double SmaEngine::AverageSkybandSize() const {
   if (queries_.empty()) return 0.0;
   double total = 0.0;
-  for (const auto& [qid, state] : queries_) {
-    total += static_cast<double>(state.skyband.size());
+  for (const auto& [qid, entry] : queries_) {
+    total += static_cast<double>(entry.state.skyband.size());
   }
   return total / static_cast<double>(queries_.size());
 }

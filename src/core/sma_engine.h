@@ -14,11 +14,9 @@
 #define TOPKMON_CORE_SMA_ENGINE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/piecewise_router.h"
+#include "core/query_table.h"
 #include "core/skyband.h"
 #include "core/tma_engine.h"  // GridEngineOptions
 #include "core/topk_compute.h"
@@ -28,26 +26,24 @@
 
 namespace topkmon {
 
+/// SMA's per-query structure: the k-skyband and its fixed threshold.
+struct SmaQueryState {
+  explicit SmaQueryState(int k) : skyband(k) {}
+  Skyband skyband;
+  /// kth score at the last from-scratch computation; fixed influence
+  /// threshold until the next recomputation (Figure 11, line 7).
+  double top_score = 0.0;
+  bool changed = false;  ///< skyband mutated this cycle
+};
+
 /// The Skyband Monitoring Algorithm.
-class SmaEngine final : public MonitorEngine {
+class SmaEngine final : public QueryTableEngine<SmaQueryState> {
  public:
   explicit SmaEngine(const GridEngineOptions& options);
 
   std::string name() const override { return "SMA"; }
   int dim() const override { return grid_.dim(); }
-  Status RegisterQuery(const QuerySpec& spec) override;
-  Status UnregisterQuery(QueryId id) override;
   Status ProcessCycle(Timestamp now, RecordSpan arrivals) override;
-  Result<std::vector<ResultEntry>> CurrentResult(QueryId id) const override;
-  void SetDeltaCallback(DeltaCallback callback) override {
-    delta_.SetCallback(std::move(callback));
-  }
-  std::size_t WindowSize() const override { return window_.size(); }
-  Result<EngineSnapshot> SnapshotState() const override {
-    return EngineSnapshot{
-        last_cycle_, std::vector<Record>(window_.begin(), window_.end())};
-  }
-  const EngineStats& stats() const override { return stats_; }
   MemoryBreakdown Memory() const override;
 
   const Grid& grid() const { return grid_; }
@@ -56,42 +52,17 @@ class SmaEngine final : public MonitorEngine {
   double AverageSkybandSize() const;
 
  private:
-  struct QueryState {
-    QueryState(QuerySpec s, QueryId reported)
-        : spec(std::move(s)), skyband(spec.k), reported_as(reported) {}
-    QuerySpec spec;
-    Skyband skyband;
-    /// The query whose reported result this entry feeds: its own id, or
-    /// its piecewise parent's.
-    QueryId reported_as;
-    /// kth score at the last from-scratch computation; fixed influence
-    /// threshold until the next recomputation (Figure 11, line 7).
-    double top_score = 0.0;
-    bool changed = false;  ///< skyband mutated this cycle
-  };
+  SmaQueryState InitialState(QueryId id, const QuerySpec& spec) override;
+  void Release(QueryId id, const Entry& entry) override;
+  std::vector<ResultEntry> TopK(const SmaQueryState& state) const override {
+    return state.skyband.TopK();
+  }
 
-  void RecomputeFromScratch(QueryId id, QueryState& state);
-
-  /// Pre-validated registration body; `reported_as` is the query whose
-  /// result the entry feeds (its own id, or the piecewise parent's — only
-  /// the parent's merged result is visible).
-  Status RegisterMonotone(const QuerySpec& spec, QueryId reported_as);
-  Status RemoveMonotone(QueryId id);
-  Status RegisterPiecewise(const QuerySpec& spec,
-                           const PiecewiseFunction& fn);
-  std::vector<ResultEntry> MergedPiecewise(const PiecewiseBook& book) const;
-
-  const Record& Lookup(RecordId id) const { return window_.Get(id); }
+  void RecomputeFromScratch(QueryId id, const QuerySpec& spec,
+                            SmaQueryState& state);
 
   Grid grid_;
-  SlidingWindow window_;
   TraversalScratch scratch_;
-  std::unordered_map<QueryId, QueryState> queries_;
-  std::unordered_map<QueryId, PiecewiseBook> piecewise_;
-  QueryId next_internal_id_ = kInternalQueryIdBase;
-  EngineStats stats_;
-  DeltaTracker delta_;
-  Timestamp last_cycle_ = 0;
 };
 
 }  // namespace topkmon

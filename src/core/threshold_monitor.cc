@@ -23,9 +23,7 @@ Status ThresholdQuerySpec::Validate(int dim) const {
 ThresholdMonitor::ThresholdMonitor(int dim, const WindowSpec& window,
                                    std::size_t cell_budget)
     : grid_(dim, Grid::CellsPerAxisForBudget(dim, cell_budget)),
-      window_(window.kind == WindowKind::kCountBased
-                  ? SlidingWindow::CountBased(window.capacity)
-                  : SlidingWindow::TimeBased(window.span)) {}
+      window_(SlidingWindow::FromSpec(window)) {}
 
 Status ThresholdMonitor::RegisterQuery(const ThresholdQuerySpec& spec) {
   TOPKMON_RETURN_IF_ERROR(spec.Validate(dim()));

@@ -9,108 +9,22 @@ int GridEngineOptions::ResolvedCellsPerAxis() const {
   return Grid::CellsPerAxisForBudget(dim, cell_budget);
 }
 
-namespace {
-
-SlidingWindow MakeWindow(const WindowSpec& spec) {
-  return spec.kind == WindowKind::kCountBased
-             ? SlidingWindow::CountBased(spec.capacity)
-             : SlidingWindow::TimeBased(spec.span);
-}
-
-}  // namespace
-
 TmaEngine::TmaEngine(const GridEngineOptions& options)
-    : arrivals_first_(options.arrivals_before_expirations),
-      grid_(options.dim, options.ResolvedCellsPerAxis()),
-      window_(MakeWindow(options.window)) {}
+    : QueryTableEngine(options.window),
+      arrivals_first_(options.arrivals_before_expirations),
+      grid_(options.dim, options.ResolvedCellsPerAxis()) {}
 
-Status TmaEngine::RegisterQuery(const QuerySpec& spec) {
-  TOPKMON_RETURN_IF_ERROR(spec.Validate(dim()));
-  if (IsInternalQueryId(spec.id)) {
-    return Status::InvalidArgument(
-        "query id " + std::to_string(spec.id) +
-        " is in the range reserved for engine-internal sub-queries");
-  }
-  if (queries_.count(spec.id) > 0 || piecewise_.count(spec.id) > 0) {
-    return Status::AlreadyExists("query id " + std::to_string(spec.id) +
-                                 " already registered");
-  }
-  if (!spec.function->IsMonotone()) {
-    const auto* fn =
-        dynamic_cast<const PiecewiseFunction*>(spec.function.get());
-    if (fn == nullptr) {
-      return Status::Unimplemented(
-          "TMA requires a per-dimension monotone or piecewise-monotone "
-          "scoring function; got '" + spec.function->ToString() + "'");
-    }
-    return RegisterPiecewise(spec, *fn);
-  }
-  return RegisterMonotone(spec, spec.id);
+TmaQueryState TmaEngine::InitialState(QueryId id, const QuerySpec& spec) {
+  TmaQueryState state(spec.k);
+  RecomputeFromScratch(id, spec, state.top_list);
+  return state;
 }
 
-Status TmaEngine::RegisterMonotone(const QuerySpec& spec,
-                                   QueryId reported_as) {
-  auto [it, inserted] =
-      queries_.emplace(spec.id, QueryState(spec, reported_as));
-  QueryState& state = it->second;
-  ++stats_.initial_computations;
-  RecomputeFromScratch(spec.id, state);
-  if (reported_as == spec.id) {
-    delta_.Track(spec.id, last_cycle_, state.top_list.entries());
-  }
-  return Status::Ok();
-}
-
-Status TmaEngine::RegisterPiecewise(const QuerySpec& spec,
-                                    const PiecewiseFunction& fn) {
-  Result<std::vector<QuerySpec>> subs =
-      DecomposePiecewise(spec, fn, &next_internal_id_);
-  if (!subs.ok()) return subs.status();
-  PiecewiseBook book;
-  book.k = spec.k;
-  book.subs.reserve(subs->size());
-  for (const QuerySpec& sub : *subs) {
-    const Status st = RegisterMonotone(sub, spec.id);
-    if (!st.ok()) {
-      for (QueryId sid : book.subs) (void)RemoveMonotone(sid);
-      return st;
-    }
-    book.subs.push_back(sub.id);
-  }
-  auto [it, inserted] = piecewise_.emplace(spec.id, std::move(book));
-  delta_.Track(spec.id, last_cycle_, MergedPiecewise(it->second));
-  return Status::Ok();
-}
-
-Status TmaEngine::UnregisterQuery(QueryId id) {
-  auto pit = piecewise_.find(id);
-  if (pit != piecewise_.end()) {
-    for (QueryId sid : pit->second.subs) (void)RemoveMonotone(sid);
-    piecewise_.erase(pit);
-    delta_.Forget(id);
-    return Status::Ok();
-  }
-  if (IsInternalQueryId(id)) {
-    // Internal sub-queries are invisible to callers.
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  return RemoveMonotone(id);
-}
-
-Status TmaEngine::RemoveMonotone(QueryId id) {
-  auto it = queries_.find(id);
-  if (it == queries_.end()) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  const QuerySpec& spec = it->second.spec;
+void TmaEngine::Release(QueryId id, const Entry& entry) {
+  const QuerySpec& spec = entry.spec;
   const Rect* constraint =
       spec.constraint.has_value() ? &*spec.constraint : nullptr;
   RemoveAllInfluence(grid_, *spec.function, id, &scratch_, constraint);
-  queries_.erase(it);
-  delta_.Forget(id);
-  return Status::Ok();
 }
 
 Status TmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
@@ -136,19 +50,16 @@ Status TmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     for (const Record& p : arrivals) HandleArrival(p);
   }
   // -- Recompute affected queries from scratch (lines 12-21) ---------------
-  for (auto& [qid, state] : queries_) {
-    if (!state.affected) continue;
-    state.affected = false;
+  for (auto& [qid, entry] : queries_) {
+    if (!entry.state.affected) continue;
+    entry.state.affected = false;
     ++stats_.recomputations;
     ++stats_.result_changes;
-    RecomputeFromScratch(qid, state);
-    delta_.MarkChanged(state.reported_as);
+    RecomputeFromScratch(qid, entry.spec, entry.state.top_list);
+    delta_.MarkChanged(entry.reported_as);
   }
-  last_cycle_ = now;
   // -- Report changes: only the queries marked above ----------------------
-  delta_.ReportChanged(
-      now, [this](QueryId id) { return CurrentResult(id).value(); });
-  stats_.maintenance_seconds += watch.ElapsedSeconds();
+  EndCycle(now, watch);
   return Status::Ok();
 }
 
@@ -157,17 +68,18 @@ void TmaEngine::HandleArrival(const Record& p) {
   grid_.InsertPoint(cell, p.id, p.position);
   ++stats_.arrivals;
   for (QueryId qid : grid_.InfluenceList(cell)) {
-    QueryState& state = queries_.at(qid);
-    if (state.spec.constraint.has_value() &&
-        !state.spec.constraint->Contains(p.position)) {
+    Entry& entry = queries_.at(qid);
+    if (entry.spec.constraint.has_value() &&
+        !entry.spec.constraint->Contains(p.position)) {
       continue;  // constrained query: update outside R (Section 7)
     }
     ++stats_.points_scored;
-    const double score = state.spec.function->Score(p.position);
-    if (score >= state.top_list.KthScore()) {
-      if (state.top_list.Consider(p.id, score)) {
+    const double score = entry.spec.function->Score(p.position);
+    TopKList& top_list = entry.state.top_list;
+    if (score >= top_list.KthScore()) {
+      if (top_list.Consider(p.id, score)) {
         ++stats_.result_changes;
-        delta_.MarkChanged(state.reported_as);
+        delta_.MarkChanged(entry.reported_as);
       }
     }
   }
@@ -178,60 +90,36 @@ void TmaEngine::HandleExpiry(const Record& p) {
   grid_.ErasePointFifo(cell, p.id);
   ++stats_.expirations;
   for (QueryId qid : grid_.InfluenceList(cell)) {
-    QueryState& state = queries_.at(qid);
+    TmaQueryState& state = queries_.at(qid).state;
     if (state.top_list.Contains(p.id)) state.affected = true;
   }
 }
 
-void TmaEngine::RecomputeFromScratch(QueryId id, QueryState& state) {
-  const QuerySpec& spec = state.spec;
+void TmaEngine::RecomputeFromScratch(QueryId id, const QuerySpec& spec,
+                                     TopKList& top_list) {
   const Rect* constraint =
       spec.constraint.has_value() ? &*spec.constraint : nullptr;
   const TopKComputation computation =
       ComputeTopK(grid_, *spec.function, spec.k, &scratch_, constraint);
   stats_.cells_visited += computation.processed_cells.size();
   stats_.points_scored += computation.points_scored;
-  state.top_list.Clear();
+  top_list.Clear();
   for (const ResultEntry& e : computation.result) {
-    state.top_list.Consider(e.id, e.score);
+    top_list.Consider(e.id, e.score);
   }
   AddInfluenceEntries(grid_, computation.processed_cells, id);
   CleanupStaleInfluence(grid_, *spec.function, computation.frontier_cells,
                         id, &scratch_);
 }
 
-Result<std::vector<ResultEntry>> TmaEngine::CurrentResult(QueryId id) const {
-  auto pit = piecewise_.find(id);
-  if (pit != piecewise_.end()) return MergedPiecewise(pit->second);
-  auto it = queries_.find(id);
-  if (it == queries_.end() || IsInternalQueryId(id)) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  return it->second.top_list.entries();
-}
-
-std::vector<ResultEntry> TmaEngine::MergedPiecewise(
-    const PiecewiseBook& book) const {
-  std::vector<ResultEntry> merged;
-  for (QueryId sid : book.subs) {
-    const auto& entries = queries_.at(sid).top_list.entries();
-    merged.insert(merged.end(), entries.begin(), entries.end());
-  }
-  return MergePiecewiseTopK(book.k, std::move(merged));
-}
-
 MemoryBreakdown TmaEngine::Memory() const {
   MemoryBreakdown mb = grid_.Memory();
   mb.Add("window", window_.MemoryBytes());
-  std::size_t query_bytes = 0;
-  for (const auto& [qid, state] : queries_) {
-    // Scoring function parameters (O(d)) + the result list (O(2k): id and
-    // score per entry) — the paper's O(d + 2k) query-table entry.
-    query_bytes += sizeof(QueryState) + state.top_list.MemoryBytes() +
-                   static_cast<std::size_t>(dim()) * sizeof(double);
-  }
-  mb.Add("query_table", query_bytes);
+  // Scoring function parameters (O(d)) + the result list (O(2k): id and
+  // score per entry) — the paper's O(d + 2k) query-table entry.
+  mb.Add("query_table", TableBytes([](const TmaQueryState& state) {
+           return state.top_list.MemoryBytes();
+         }));
   mb.Add("scratch", scratch_.MemoryBytes());
   return mb;
 }

@@ -14,13 +14,10 @@
 #ifndef TOPKMON_CORE_TMA_ENGINE_H_
 #define TOPKMON_CORE_TMA_ENGINE_H_
 
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/piecewise_router.h"
+#include "core/query_table.h"
 #include "core/topk_compute.h"
 #include "grid/cell_traversal.h"
 #include "grid/grid.h"
@@ -47,75 +44,45 @@ struct GridEngineOptions {
   int ResolvedCellsPerAxis() const;
 };
 
+/// TMA's per-query structure: the top-k list q.top_list.
+struct TmaQueryState {
+  explicit TmaQueryState(int k) : top_list(k) {}
+  TopKList top_list;
+  bool affected = false;  ///< a result record expired this cycle
+};
+
 /// The Top-k Monitoring Algorithm.
-class TmaEngine final : public MonitorEngine {
+class TmaEngine final : public QueryTableEngine<TmaQueryState> {
  public:
   explicit TmaEngine(const GridEngineOptions& options);
 
   std::string name() const override { return "TMA"; }
   int dim() const override { return grid_.dim(); }
-  Status RegisterQuery(const QuerySpec& spec) override;
-  Status UnregisterQuery(QueryId id) override;
   Status ProcessCycle(Timestamp now, RecordSpan arrivals) override;
-  Result<std::vector<ResultEntry>> CurrentResult(QueryId id) const override;
-  void SetDeltaCallback(DeltaCallback callback) override {
-    delta_.SetCallback(std::move(callback));
-  }
-  std::size_t WindowSize() const override { return window_.size(); }
-  Result<EngineSnapshot> SnapshotState() const override {
-    return EngineSnapshot{
-        last_cycle_, std::vector<Record>(window_.begin(), window_.end())};
-  }
-  const EngineStats& stats() const override { return stats_; }
   MemoryBreakdown Memory() const override;
 
   /// Grid resolution actually in use (for the granularity experiment).
   const Grid& grid() const { return grid_; }
 
  private:
-  struct QueryState {
-    QueryState(QuerySpec s, QueryId reported)
-        : spec(std::move(s)), top_list(spec.k), reported_as(reported) {}
-    QuerySpec spec;
-    TopKList top_list;
-    /// The query whose reported result this entry feeds: its own id, or
-    /// its piecewise parent's.
-    QueryId reported_as;
-    bool affected = false;  ///< a result record expired this cycle
-  };
+  TmaQueryState InitialState(QueryId id, const QuerySpec& spec) override;
+  void Release(QueryId id, const Entry& entry) override;
+  std::vector<ResultEntry> TopK(const TmaQueryState& state) const override {
+    return state.top_list.entries();
+  }
 
-  /// Runs the computation module for `state`, refreshes its top-k list and
-  /// reconciles influence lists (add processed, clean stale from frontier).
-  void RecomputeFromScratch(QueryId id, QueryState& state);
+  /// Runs the computation module for query `id`, refreshes its top-k list
+  /// and reconciles influence lists (add processed, clean stale from
+  /// frontier).
+  void RecomputeFromScratch(QueryId id, const QuerySpec& spec,
+                            TopKList& top_list);
 
   void HandleArrival(const Record& p);
   void HandleExpiry(const Record& p);
 
-  /// The pre-validated registration body, shared by external monotone
-  /// queries and internal piecewise sub-queries. `reported_as` is the
-  /// query whose result the entry feeds (its own id, or the piecewise
-  /// parent's — only the parent's merged result is ever reported).
-  Status RegisterMonotone(const QuerySpec& spec, QueryId reported_as);
-  /// Removes one entry from the query table (internal or external).
-  Status RemoveMonotone(QueryId id);
-  /// Decomposes a piecewise-monotone spec into internal constrained
-  /// sub-queries (core/piecewise_router.h) and records the parent book.
-  Status RegisterPiecewise(const QuerySpec& spec,
-                           const PiecewiseFunction& fn);
-  std::vector<ResultEntry> MergedPiecewise(const PiecewiseBook& book) const;
-
-  const Record& Lookup(RecordId id) const { return window_.Get(id); }
-
   bool arrivals_first_;
   Grid grid_;
-  SlidingWindow window_;
   TraversalScratch scratch_;
-  std::unordered_map<QueryId, QueryState> queries_;
-  std::unordered_map<QueryId, PiecewiseBook> piecewise_;
-  QueryId next_internal_id_ = kInternalQueryIdBase;
-  EngineStats stats_;
-  DeltaTracker delta_;
-  Timestamp last_cycle_ = 0;
 };
 
 }  // namespace topkmon

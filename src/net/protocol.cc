@@ -524,7 +524,7 @@ Status DecodeIngestBodyToArena(const char* data, std::size_t n, int dim,
     st = Status::InvalidArgument("trailing bytes after message");
   }
   if (!st.ok()) {
-    arena.Release(records, count);
+    arena.Discard(records, count);
     return st;
   }
   // Frame-boundary validation — the ONE place wire records are checked

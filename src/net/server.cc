@@ -1017,7 +1017,7 @@ void TcpServer::HandleIngest(Connection& conn, const char* body,
     if (inv < view.invalid.size() && view.invalid[inv] == i) {
       ++rejected;
       if (first_error.ok()) first_error = view.first_invalid;
-      arena.Release(view.records + i, 1);
+      arena.Discard(view.records + i, 1);
       ++inv;
       ++i;
       continue;
@@ -1046,7 +1046,7 @@ void TcpServer::HandleIngest(Connection& conn, const char* body,
       const std::size_t remaining = view.count - (i + pushed);
       rejected += static_cast<std::uint32_t>(remaining);
       backpressured += remaining;
-      arena.Release(view.records + i + pushed, remaining);
+      arena.Discard(view.records + i + pushed, remaining);
       i = view.count;
       break;
     }
@@ -1054,7 +1054,7 @@ void TcpServer::HandleIngest(Connection& conn, const char* body,
     // remainder is refused, later records are still examined (a later
     // invalid record must draw its own validation rejection).
     rejected += static_cast<std::uint32_t>(run - pushed);
-    arena.Release(view.records + i + pushed, run - pushed);
+    arena.Discard(view.records + i + pushed, run - pushed);
     i = end;
   }
   {

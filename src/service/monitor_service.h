@@ -2,9 +2,8 @@
 //
 // The paper's engines are single-threaded libraries driven by a
 // simulation loop; this is the layer that makes them servable. A
-// MonitorService owns one MonitorEngine (typically a ShardedEngine for
-// multi-core scaling) plus the three service components, and runs a
-// dedicated cycle-driver thread:
+// MonitorService owns one MonitorEngine (typically a TmaEngine) plus the
+// three service components, and runs a dedicated cycle-driver thread:
 //
 //   producers --Push--> IngestQueue --DrainBatch--> driver thread
 //                                                      |  ProcessCycle

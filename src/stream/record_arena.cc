@@ -73,6 +73,26 @@ void RecordArena::Release(const Record* p, std::size_t n) {
   assert(false && "Release of a span this arena never allocated");
 }
 
+void RecordArena::Discard(const Record* p, std::size_t n) {
+  if (n == 0) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Chunk& c : chunks_) {
+    if (p >= c.slab && p < c.slab + c.capacity) {
+      assert(p + n <= c.slab + c.used);
+      if (p + n == c.slab + c.used) {
+        c.used -= n;
+      } else {
+        c.released += n;
+      }
+      assert(c.released <= c.used);
+      stats_.released_records += n;
+      ReclaimLocked();
+      return;
+    }
+  }
+  assert(false && "Discard of a span this arena never allocated");
+}
+
 std::uint64_t RecordArena::current_epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
   return epoch_;

@@ -83,6 +83,14 @@ class RecordArena {
   /// recycled here.
   void Release(const Record* p, std::size_t n);
 
+  /// Release for a span no consumer has seen (a decode failure, a record
+  /// refused at admission). When the span is the newest allocation of
+  /// its chunk its room is handed back at once, without waiting for the
+  /// epoch to retire, so a producer bouncing off a full queue while no
+  /// cycle publishes reuses one chunk instead of growing the arena.
+  /// Otherwise the same as Release.
+  void Discard(const Record* p, std::size_t n);
+
   /// The epoch new allocations are stamped with.
   std::uint64_t current_epoch() const;
 

@@ -12,6 +12,11 @@ SlidingWindow SlidingWindow::TimeBased(Timestamp span) {
   return SlidingWindow(WindowKind::kTimeBased, 0, span);
 }
 
+SlidingWindow SlidingWindow::FromSpec(const WindowSpec& spec) {
+  return spec.kind == WindowKind::kCountBased ? CountBased(spec.capacity)
+                                              : TimeBased(spec.span);
+}
+
 Status SlidingWindow::Append(const Record& record) {
   if (record.id == kInvalidRecordId) {
     return Status::InvalidArgument("record has invalid id");

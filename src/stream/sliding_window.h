@@ -55,6 +55,10 @@ class SlidingWindow {
   /// Requires span > 0.
   static SlidingWindow TimeBased(Timestamp span);
 
+  /// The window `spec` describes: CountBased(capacity) or
+  /// TimeBased(span).
+  static SlidingWindow FromSpec(const WindowSpec& spec);
+
   WindowKind kind() const { return kind_; }
   std::size_t capacity() const { return capacity_; }
   Timestamp span() const { return span_; }

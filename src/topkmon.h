@@ -19,7 +19,6 @@
 #include "core/engine.h"
 #include "core/piecewise.h"
 #include "core/query.h"
-#include "core/sharded_engine.h"
 #include "core/simulation.h"
 #include "core/skyband.h"
 #include "core/skyline_monitor.h"

@@ -1,97 +1,21 @@
 #include "tsl/tsl_engine.h"
 
+#include <algorithm>
+
 namespace topkmon {
 
 TslEngine::TslEngine(const TslOptions& options)
-    : dim_(options.dim),
+    : QueryTableEngine(options.window),
+      dim_(options.dim),
       kmax_override_(options.kmax_override),
-      window_(options.window.kind == WindowKind::kCountBased
-                  ? SlidingWindow::CountBased(options.window.capacity)
-                  : SlidingWindow::TimeBased(options.window.span)),
       lists_(options.dim) {}
 
-Status TslEngine::RegisterQuery(const QuerySpec& spec) {
-  TOPKMON_RETURN_IF_ERROR(spec.Validate(dim_));
-  if (IsInternalQueryId(spec.id)) {
-    return Status::InvalidArgument(
-        "query id " + std::to_string(spec.id) +
-        " is in the range reserved for engine-internal sub-queries");
-  }
-  if (queries_.count(spec.id) > 0 || piecewise_.count(spec.id) > 0) {
-    return Status::AlreadyExists("query id " + std::to_string(spec.id) +
-                                 " already registered");
-  }
-  if (!spec.function->IsMonotone()) {
-    const auto* fn =
-        dynamic_cast<const PiecewiseFunction*>(spec.function.get());
-    if (fn == nullptr) {
-      return Status::Unimplemented(
-          "TSL requires a per-dimension monotone or piecewise-monotone "
-          "scoring function; got '" + spec.function->ToString() + "'");
-    }
-    return RegisterPiecewise(spec, *fn);
-  }
-  return RegisterMonotone(spec, spec.id);
-}
-
-Status TslEngine::RegisterMonotone(const QuerySpec& spec,
-                                   QueryId reported_as) {
-  const int kmax =
-      kmax_override_ > 0 ? std::max(kmax_override_, spec.k)
-                         : DefaultKmax(spec.k);
-  auto [it, inserted] =
-      queries_.emplace(spec.id, QueryState(spec, kmax, reported_as));
-  ++stats_.initial_computations;
-  Refill(it->second);
-  if (reported_as == spec.id) {
-    delta_.Track(spec.id, last_cycle_, it->second.view.TopK());
-  }
-  return Status::Ok();
-}
-
-Status TslEngine::RegisterPiecewise(const QuerySpec& spec,
-                                    const PiecewiseFunction& fn) {
-  Result<std::vector<QuerySpec>> subs =
-      DecomposePiecewise(spec, fn, &next_internal_id_);
-  if (!subs.ok()) return subs.status();
-  PiecewiseBook book;
-  book.k = spec.k;
-  book.subs.reserve(subs->size());
-  for (const QuerySpec& sub : *subs) {
-    const Status st = RegisterMonotone(sub, spec.id);
-    if (!st.ok()) {
-      for (QueryId sid : book.subs) (void)RemoveMonotone(sid);
-      return st;
-    }
-    book.subs.push_back(sub.id);
-  }
-  auto [it, inserted] = piecewise_.emplace(spec.id, std::move(book));
-  delta_.Track(spec.id, last_cycle_, MergedPiecewise(it->second));
-  return Status::Ok();
-}
-
-Status TslEngine::UnregisterQuery(QueryId id) {
-  auto pit = piecewise_.find(id);
-  if (pit != piecewise_.end()) {
-    for (QueryId sid : pit->second.subs) (void)RemoveMonotone(sid);
-    piecewise_.erase(pit);
-    delta_.Forget(id);
-    return Status::Ok();
-  }
-  if (IsInternalQueryId(id)) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  return RemoveMonotone(id);
-}
-
-Status TslEngine::RemoveMonotone(QueryId id) {
-  if (queries_.erase(id) == 0) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  delta_.Forget(id);
-  return Status::Ok();
+TopKView TslEngine::InitialState(QueryId, const QuerySpec& spec) {
+  const int kmax = kmax_override_ > 0 ? std::max(kmax_override_, spec.k)
+                                      : DefaultKmax(spec.k);
+  TopKView view(spec.k, kmax);
+  Refill(spec, view);
+  return view;
 }
 
 Status TslEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
@@ -105,16 +29,16 @@ Status TslEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     TOPKMON_RETURN_IF_ERROR(window_.Append(p));
     lists_.Insert(p);
     ++stats_.arrivals;
-    for (auto& [qid, state] : queries_) {
-      if (state.spec.constraint.has_value() &&
-          !state.spec.constraint->Contains(p.position)) {
+    for (auto& [qid, entry] : queries_) {
+      if (entry.spec.constraint.has_value() &&
+          !entry.spec.constraint->Contains(p.position)) {
         continue;  // constrained query: arrival outside R (Section 7)
       }
       ++stats_.points_scored;
-      const double score = state.spec.function->Score(p.position);
-      if (state.view.OnArrival(p.id, score)) {
+      const double score = entry.spec.function->Score(p.position);
+      if (entry.state.OnArrival(p.id, score)) {
         ++stats_.result_changes;
-        delta_.MarkChanged(state.reported_as);
+        delta_.MarkChanged(entry.reported_as);
       }
     }
   }
@@ -124,89 +48,61 @@ Status TslEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
   for (const Record& p : window_.EvictExpired(now)) {
     TOPKMON_RETURN_IF_ERROR(lists_.Erase(p));
     ++stats_.expirations;
-    for (auto& [qid, state] : queries_) {
-      if (state.spec.constraint.has_value() &&
-          !state.spec.constraint->Contains(p.position)) {
+    for (auto& [qid, entry] : queries_) {
+      if (entry.spec.constraint.has_value() &&
+          !entry.spec.constraint->Contains(p.position)) {
         continue;  // never entered this view
       }
       ++stats_.points_scored;
-      const double score = state.spec.function->Score(p.position);
-      if (state.view.OnExpiry(p.id, score)) {
+      const double score = entry.spec.function->Score(p.position);
+      if (entry.state.OnExpiry(p.id, score)) {
         ++stats_.result_changes;
-        delta_.MarkChanged(state.reported_as);
+        delta_.MarkChanged(entry.reported_as);
       }
     }
   }
-  for (auto& [qid, state] : queries_) {
+  for (auto& [qid, entry] : queries_) {
     // Refill once per cycle when the view dropped below k and the window
     // actually holds records the view is missing.
-    if (state.view.NeedsRefill() && window_.size() > state.view.size()) {
+    if (entry.state.NeedsRefill() && window_.size() > entry.state.size()) {
       ++stats_.view_refills;
       ++stats_.recomputations;
-      Refill(state);
-      delta_.MarkChanged(state.reported_as);
+      Refill(entry.spec, entry.state);
+      delta_.MarkChanged(entry.reported_as);
     }
   }
-  last_cycle_ = now;
-  delta_.ReportChanged(
-      now, [this](QueryId id) { return CurrentResult(id).value(); });
-  stats_.maintenance_seconds += watch.ElapsedSeconds();
+  EndCycle(now, watch);
   return Status::Ok();
 }
 
-void TslEngine::Refill(QueryState& state) {
-  const Rect* constraint = state.spec.constraint.has_value()
-                               ? &*state.spec.constraint
-                               : nullptr;
+void TslEngine::Refill(const QuerySpec& spec, TopKView& view) {
+  const Rect* constraint =
+      spec.constraint.has_value() ? &*spec.constraint : nullptr;
   const TaResult ta = RunThresholdAlgorithm(
-      lists_, *state.spec.function, state.view.kmax(),
+      lists_, *spec.function, view.kmax(),
       [this](RecordId id) -> const Record& { return window_.Get(id); },
       constraint);
   sorted_accesses_ += ta.sorted_accesses;
   random_accesses_ += ta.random_accesses;
   stats_.points_scored += ta.random_accesses;
-  state.view.Refill(ta.result);
-}
-
-Result<std::vector<ResultEntry>> TslEngine::CurrentResult(QueryId id) const {
-  auto pit = piecewise_.find(id);
-  if (pit != piecewise_.end()) return MergedPiecewise(pit->second);
-  auto it = queries_.find(id);
-  if (it == queries_.end() || IsInternalQueryId(id)) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  return it->second.view.TopK();
-}
-
-std::vector<ResultEntry> TslEngine::MergedPiecewise(
-    const PiecewiseBook& book) const {
-  std::vector<ResultEntry> merged;
-  for (QueryId sid : book.subs) {
-    const std::vector<ResultEntry> entries = queries_.at(sid).view.TopK();
-    merged.insert(merged.end(), entries.begin(), entries.end());
-  }
-  return MergePiecewiseTopK(book.k, std::move(merged));
+  view.Refill(ta.result);
 }
 
 MemoryBreakdown TslEngine::Memory() const {
   MemoryBreakdown mb;
   mb.Add("window", window_.MemoryBytes());
   mb.Add("sorted_lists", lists_.MemoryBytes());
-  std::size_t view_bytes = 0;
-  for (const auto& [qid, state] : queries_) {
-    view_bytes += sizeof(QueryState) + state.view.MemoryBytes() +
-                  static_cast<std::size_t>(dim_) * sizeof(double);
-  }
-  mb.Add("views", view_bytes);
+  mb.Add("views", TableBytes([](const TopKView& view) {
+           return view.MemoryBytes();
+         }));
   return mb;
 }
 
 double TslEngine::AverageViewSize() const {
   if (queries_.empty()) return 0.0;
   double total = 0.0;
-  for (const auto& [qid, state] : queries_) {
-    total += static_cast<double>(state.view.size());
+  for (const auto& [qid, entry] : queries_) {
+    total += static_cast<double>(entry.state.size());
   }
   return total / static_cast<double>(queries_.size());
 }

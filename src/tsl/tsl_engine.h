@@ -12,11 +12,9 @@
 #define TOPKMON_TSL_TSL_ENGINE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/piecewise_router.h"
+#include "core/query_table.h"
 #include "stream/sliding_window.h"
 #include "tsl/sorted_lists.h"
 #include "tsl/threshold_algorithm.h"
@@ -32,26 +30,15 @@ struct TslOptions {
   int kmax_override = 0;
 };
 
-/// The Threshold Sorted List engine.
-class TslEngine final : public MonitorEngine {
+/// The Threshold Sorted List engine. Its per-query structure is the
+/// materialized view.
+class TslEngine final : public QueryTableEngine<TopKView> {
  public:
   explicit TslEngine(const TslOptions& options);
 
   std::string name() const override { return "TSL"; }
   int dim() const override { return dim_; }
-  Status RegisterQuery(const QuerySpec& spec) override;
-  Status UnregisterQuery(QueryId id) override;
   Status ProcessCycle(Timestamp now, RecordSpan arrivals) override;
-  Result<std::vector<ResultEntry>> CurrentResult(QueryId id) const override;
-  void SetDeltaCallback(DeltaCallback callback) override {
-    delta_.SetCallback(std::move(callback));
-  }
-  std::size_t WindowSize() const override { return window_.size(); }
-  Result<EngineSnapshot> SnapshotState() const override {
-    return EngineSnapshot{
-        last_cycle_, std::vector<Record>(window_.begin(), window_.end())};
-  }
-  const EngineStats& stats() const override { return stats_; }
   MemoryBreakdown Memory() const override;
 
   /// Average view cardinality k' across queries (Table 2).
@@ -62,37 +49,18 @@ class TslEngine final : public MonitorEngine {
   std::uint64_t total_random_accesses() const { return random_accesses_; }
 
  private:
-  struct QueryState {
-    QueryState(QuerySpec s, int kmax, QueryId reported)
-        : spec(std::move(s)), view(spec.k, kmax), reported_as(reported) {}
-    QuerySpec spec;
-    TopKView view;
-    /// The query whose reported result this entry feeds: its own id, or
-    /// its piecewise parent's.
-    QueryId reported_as;
-  };
+  TopKView InitialState(QueryId id, const QuerySpec& spec) override;
+  void Release(QueryId, const Entry&) override {}
+  std::vector<ResultEntry> TopK(const TopKView& view) const override {
+    return view.TopK();
+  }
 
-  void Refill(QueryState& state);
-
-  /// Pre-validated registration body; `reported_as` is the query whose
-  /// result the entry feeds (its own id, or the piecewise parent's — only
-  /// the parent's merged result is visible).
-  Status RegisterMonotone(const QuerySpec& spec, QueryId reported_as);
-  Status RemoveMonotone(QueryId id);
-  Status RegisterPiecewise(const QuerySpec& spec,
-                           const PiecewiseFunction& fn);
-  std::vector<ResultEntry> MergedPiecewise(const PiecewiseBook& book) const;
+  /// Replaces `view` with a fresh top-kmax TA computation for `spec`.
+  void Refill(const QuerySpec& spec, TopKView& view);
 
   int dim_;
   int kmax_override_;
-  SlidingWindow window_;
   SortedAttributeLists lists_;
-  std::unordered_map<QueryId, QueryState> queries_;
-  std::unordered_map<QueryId, PiecewiseBook> piecewise_;
-  QueryId next_internal_id_ = kInternalQueryIdBase;
-  EngineStats stats_;
-  DeltaTracker delta_;
-  Timestamp last_cycle_ = 0;
   std::uint64_t sorted_accesses_ = 0;
   std::uint64_t random_accesses_ = 0;
 };

@@ -60,15 +60,5 @@ TEST(BruteForceEngineTest, ConstraintFiltersRecords) {
   EXPECT_EQ((*result)[0].id, 1u);
 }
 
-TEST(BruteForceEngineTest, ErrorPaths) {
-  BruteForceEngine engine(2, WindowSpec::Count(10));
-  EXPECT_EQ(engine.CurrentResult(1).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine.UnregisterQuery(1).code(), StatusCode::kNotFound);
-  TOPKMON_ASSERT_OK(engine.RegisterQuery(LinearQuery(1, 1, {1.0, 1.0})));
-  EXPECT_EQ(engine.RegisterQuery(LinearQuery(1, 1, {1.0, 1.0})).code(),
-            StatusCode::kAlreadyExists);
-  TOPKMON_ASSERT_OK(engine.UnregisterQuery(1));
-}
-
 }  // namespace
 }  // namespace topkmon

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/sma_engine.h"
 #include "core/tma_engine.h"
 #include "stream/generators.h"
 #include "tests/test_util.h"
+#include "tsl/tsl_engine.h"
 
 namespace topkmon {
 namespace {
@@ -41,6 +43,15 @@ GridEngineOptions Options2d(std::size_t window) {
   return opt;
 }
 
+QuerySpec PiecewiseSpec(QueryId id, int k,
+                        std::shared_ptr<const PiecewiseFunction> fn) {
+  QuerySpec spec;
+  spec.id = id;
+  spec.k = k;
+  spec.function = std::move(fn);
+  return spec;
+}
+
 TEST(LinearFunctionBiasTest, BiasShiftsScoresUniformly) {
   LinearFunction plain({1.0, 1.0});
   LinearFunction biased({1.0, 1.0}, -0.5);
@@ -53,23 +64,36 @@ TEST(LinearFunctionBiasTest, BiasShiftsScoresUniformly) {
 }
 
 TEST(PiecewiseTest, RegistrationValidatesInput) {
-  SmaEngine engine(Options2d(100));
-  EXPECT_FALSE(
-      PiecewiseTopKQuery::Register(nullptr, 1, 3, RidgePieces()).ok());
-  EXPECT_FALSE(PiecewiseTopKQuery::Register(&engine, 1, 3, {}).ok());
-  // Dimensionality mismatch inside a piece is caught by the engine and
-  // already-registered pieces are rolled back.
+  // PiecewiseFunction::Create refuses an empty partition, a piece of
+  // another dimensionality and a nested piecewise piece.
+  EXPECT_FALSE(PiecewiseFunction::Create({}).ok());
   std::vector<MonotonePiece> bad = RidgePieces();
   bad[1].function = std::make_shared<LinearFunction>(
       std::vector<double>{1.0, 1.0, 1.0});
-  EXPECT_FALSE(PiecewiseTopKQuery::Register(&engine, 1, 3, bad).ok());
-  // The rollback freed the base id: a clean registration succeeds.
-  auto query = PiecewiseTopKQuery::Register(&engine, 1, 3, RidgePieces());
-  ASSERT_TRUE(query.ok());
-  TOPKMON_EXPECT_OK(query->Unregister());
+  EXPECT_FALSE(PiecewiseFunction::Create(bad).ok());
+  auto ridge = PiecewiseFunction::Create(RidgePieces());
+  ASSERT_TRUE(ridge.ok());
+  bad = RidgePieces();
+  bad[0].function = *ridge;
+  EXPECT_FALSE(PiecewiseFunction::Create(bad).ok());
+  // The engine refuses a 3-d function and k = 0, and a refusal leaves
+  // nothing behind: the id then registers cleanly.
+  auto cube = PiecewiseFunction::Create({MonotonePiece{
+      Rect(Point{0.0, 0.0, 0.0}, Point{1.0, 1.0, 1.0}),
+      std::make_shared<LinearFunction>(std::vector<double>{1.0, 1.0, 1.0})}});
+  ASSERT_TRUE(cube.ok());
+  SmaEngine engine(Options2d(100));
+  EXPECT_EQ(engine.RegisterQuery(PiecewiseSpec(1, 3, *cube)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.RegisterQuery(PiecewiseSpec(1, 0, *ridge)).code(),
+            StatusCode::kInvalidArgument);
+  TOPKMON_ASSERT_OK(engine.RegisterQuery(PiecewiseSpec(1, 3, *ridge)));
+  TOPKMON_EXPECT_OK(engine.UnregisterQuery(1));
 }
 
 TEST(PiecewiseTest, MatchesNonMonotoneBruteForceOverStream) {
+  auto ridge = PiecewiseFunction::Create(RidgePieces());
+  ASSERT_TRUE(ridge.ok());
   for (int engine_kind = 0; engine_kind < 2; ++engine_kind) {
     std::unique_ptr<MonitorEngine> engine;
     if (engine_kind == 0) {
@@ -78,10 +102,7 @@ TEST(PiecewiseTest, MatchesNonMonotoneBruteForceOverStream) {
       engine = std::make_unique<SmaEngine>(Options2d(300));
     }
     const int k = 5;
-    auto query =
-        PiecewiseTopKQuery::Register(engine.get(), 10, k, RidgePieces());
-    ASSERT_TRUE(query.ok());
-    EXPECT_EQ(query->num_pieces(), 2u);
+    TOPKMON_ASSERT_OK(engine->RegisterQuery(PiecewiseSpec(10, k, *ridge)));
 
     RecordSource source(MakeGenerator(Distribution::kIndependent, 2, 91));
     SlidingWindow shadow = SlidingWindow::CountBased(300);
@@ -95,7 +116,7 @@ TEST(PiecewiseTest, MatchesNonMonotoneBruteForceOverStream) {
       for (const Record& r : shadow) {
         want.Consider(r.id, RidgeScore(r.position));
       }
-      const auto got = query->CurrentResult();
+      const auto got = engine->CurrentResult(10);
       ASSERT_TRUE(got.ok());
       const std::vector<double> got_scores = testing::Scores(*got);
       const std::vector<double> want_scores =
@@ -107,27 +128,25 @@ TEST(PiecewiseTest, MatchesNonMonotoneBruteForceOverStream) {
             << "engine " << engine->name() << " t=" << now << " rank " << i;
       }
     }
-    TOPKMON_EXPECT_OK(query->Unregister());
+    TOPKMON_EXPECT_OK(engine->UnregisterQuery(10));
     EXPECT_EQ(engine->CurrentResult(10).status().code(),
-              StatusCode::kNotFound);
-    EXPECT_EQ(engine->CurrentResult(11).status().code(),
               StatusCode::kNotFound);
   }
 }
 
 TEST(PiecewiseTest, BoundaryRecordsAreNotDuplicated) {
+  auto ridge = PiecewiseFunction::Create(RidgePieces());
+  ASSERT_TRUE(ridge.ok());
   SmaEngine engine(Options2d(100));
   const int k = 4;
-  auto query =
-      PiecewiseTopKQuery::Register(&engine, 1, k, RidgePieces());
-  ASSERT_TRUE(query.ok());
+  TOPKMON_ASSERT_OK(engine.RegisterQuery(PiecewiseSpec(1, k, *ridge)));
   // Records exactly on the ridge x1 = 0.5 belong to both pieces.
   const std::vector<Record> batch1 = {
       Record(0, Point{0.5, 0.9}, 1),
       Record(1, Point{0.5, 0.8}, 1),
       Record(2, Point{0.2, 0.9}, 1)};
   TOPKMON_ASSERT_OK(engine.ProcessCycle(1, batch1));
-  const auto result = query->CurrentResult();
+  const auto result = engine.CurrentResult(1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 3u);  // no id twice
   EXPECT_EQ((*result)[0].id, 0u);  // 0.9 on the ridge
@@ -135,7 +154,7 @@ TEST(PiecewiseTest, BoundaryRecordsAreNotDuplicated) {
   EXPECT_EQ((*result)[2].id, 2u);  // 0.9 - 0.3
   EXPECT_DOUBLE_EQ((*result)[0].score, 0.9);
   EXPECT_DOUBLE_EQ((*result)[2].score, 0.6);
-  TOPKMON_EXPECT_OK(query->Unregister());
+  TOPKMON_EXPECT_OK(engine.UnregisterQuery(1));
 }
 
 TEST(PiecewiseTest, FourPieceSaddleFunction) {
@@ -159,14 +178,22 @@ TEST(PiecewiseTest, FourPieceSaddleFunction) {
       Rect(Point{c, c}, Point{1.0, 1.0}),
       std::make_shared<LinearFunction>(std::vector<double>{-1.0, -1.0},
                                        1.0)});
-  SmaEngine engine(Options2d(400));
-  auto query = PiecewiseTopKQuery::Register(&engine, 100, 6, pieces);
-  ASSERT_TRUE(query.ok());
+  auto saddle = PiecewiseFunction::Create(std::move(pieces));
+  ASSERT_TRUE(saddle.ok());
+  TslOptions tsl;
+  tsl.dim = 2;
+  tsl.window = WindowSpec::Count(400);
+  std::vector<std::unique_ptr<MonitorEngine>> engines;
+  engines.push_back(std::make_unique<TmaEngine>(Options2d(400)));
+  engines.push_back(std::make_unique<SmaEngine>(Options2d(400)));
+  engines.push_back(std::make_unique<TslEngine>(tsl));
+  for (auto& engine : engines) {
+    TOPKMON_ASSERT_OK(engine->RegisterQuery(PiecewiseSpec(100, 6, *saddle)));
+  }
   RecordSource source(MakeGenerator(Distribution::kIndependent, 2, 7));
   SlidingWindow shadow = SlidingWindow::CountBased(400);
   for (Timestamp now = 1; now <= 25; ++now) {
     const std::vector<Record> batch = source.NextBatch(40, now);
-    TOPKMON_ASSERT_OK(engine.ProcessCycle(now, batch));
     for (const Record& r : batch) ASSERT_TRUE(shadow.Append(r).ok());
     shadow.EvictExpired(now);
     TopKList want(6);
@@ -174,16 +201,23 @@ TEST(PiecewiseTest, FourPieceSaddleFunction) {
       want.Consider(r.id, -std::abs(r.position[0] - c) -
                               std::abs(r.position[1] - c));
     }
-    const auto got = query->CurrentResult();
-    ASSERT_TRUE(got.ok());
-    const std::vector<double> got_scores = testing::Scores(*got);
     const std::vector<double> want_scores = testing::Scores(want.entries());
-    ASSERT_EQ(got_scores.size(), want_scores.size()) << "t=" << now;
-    for (std::size_t i = 0; i < got_scores.size(); ++i) {
-      EXPECT_NEAR(got_scores[i], want_scores[i], 1e-12) << "t=" << now;
+    for (auto& engine : engines) {
+      TOPKMON_ASSERT_OK(engine->ProcessCycle(now, batch));
+      const auto got = engine->CurrentResult(100);
+      ASSERT_TRUE(got.ok());
+      const std::vector<double> got_scores = testing::Scores(*got);
+      ASSERT_EQ(got_scores.size(), want_scores.size())
+          << engine->name() << " t=" << now;
+      for (std::size_t i = 0; i < got_scores.size(); ++i) {
+        EXPECT_NEAR(got_scores[i], want_scores[i], 1e-12)
+            << engine->name() << " t=" << now;
+      }
     }
   }
-  TOPKMON_EXPECT_OK(query->Unregister());
+  for (auto& engine : engines) {
+    TOPKMON_EXPECT_OK(engine->UnregisterQuery(100));
+  }
 }
 
 }  // namespace

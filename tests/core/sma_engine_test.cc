@@ -32,13 +32,6 @@ TEST(SmaEngineTest, NameAndDim) {
   EXPECT_EQ(engine.dim(), 4);
 }
 
-TEST(SmaEngineTest, RegisterDuplicateFails) {
-  SmaEngine engine(SmallOptions(2, 100));
-  TOPKMON_ASSERT_OK(engine.RegisterQuery(LinearQuery(1, 2, {1.0, 1.0})));
-  EXPECT_EQ(engine.RegisterQuery(LinearQuery(1, 2, {1.0, 1.0})).code(),
-            StatusCode::kAlreadyExists);
-}
-
 TEST(SmaEngineTest, SkybandAvoidsRecomputationOnExpiry) {
   // SMA's signature behavior (Figure 8(b) discussion): when the top record
   // expires, the next result is already in the skyband — no from-scratch

@@ -33,23 +33,6 @@ TEST(TmaEngineTest, NameAndDim) {
   EXPECT_EQ(engine.dim(), 3);
 }
 
-TEST(TmaEngineTest, RegisterDuplicateFails) {
-  TmaEngine engine(SmallOptions(2, 100));
-  TOPKMON_ASSERT_OK(engine.RegisterQuery(LinearQuery(1, 2, {1.0, 1.0})));
-  EXPECT_EQ(engine.RegisterQuery(LinearQuery(1, 2, {1.0, 1.0})).code(),
-            StatusCode::kAlreadyExists);
-}
-
-TEST(TmaEngineTest, UnregisterUnknownFails) {
-  TmaEngine engine(SmallOptions(2, 100));
-  EXPECT_EQ(engine.UnregisterQuery(9).code(), StatusCode::kNotFound);
-}
-
-TEST(TmaEngineTest, CurrentResultUnknownQueryFails) {
-  TmaEngine engine(SmallOptions(2, 100));
-  EXPECT_EQ(engine.CurrentResult(5).status().code(), StatusCode::kNotFound);
-}
-
 TEST(TmaEngineTest, EmptyWindowYieldsEmptyResult) {
   TmaEngine engine(SmallOptions(2, 100));
   TOPKMON_ASSERT_OK(engine.RegisterQuery(LinearQuery(1, 3, {1.0, 2.0})));

@@ -1,8 +1,7 @@
-// Pins the engine-internal piecewise decomposition (PR 7): TMA, SMA,
-// TSL and the sharded engine must answer piecewise-monotone queries
-// cycle-for-cycle identically to BruteForce, including records landing
-// exactly on piece boundaries and timestamps landing exactly on the
-// window's expiry edge. All coordinates, weights and biases in the
+// Pins the engine-internal piecewise decomposition: TMA, SMA and TSL
+// must answer piecewise-monotone queries cycle-for-cycle identically to
+// BruteForce, including records landing exactly on piece boundaries and
+// timestamps landing exactly on the window's expiry edge. All coordinates, weights and biases in the
 // pinned cases are dyadic so the per-piece linear scores are bitwise
 // equal across engines (the merge dedup relies on that).
 //
@@ -19,7 +18,6 @@
 #include "core/brute_force_engine.h"
 #include "core/piecewise.h"
 #include "core/piecewise_router.h"
-#include "core/sharded_engine.h"
 #include "core/sma_engine.h"
 #include "core/tma_engine.h"
 #include "tests/test_util.h"
@@ -36,9 +34,7 @@ GridEngineOptions GridOptions(std::size_t window) {
   return opt;
 }
 
-/// Every engine under test plus the BruteForce oracle (index 0). The
-/// sharded engine runs 2xTMA so its scatter path covers the piecewise
-/// forwarding too.
+/// Every engine under test plus the BruteForce oracle (index 0).
 struct EngineSet {
   std::vector<std::unique_ptr<MonitorEngine>> owned;
   std::vector<MonitorEngine*> all;  ///< [0] is BruteForce
@@ -55,11 +51,6 @@ EngineSet MakeEngines(const WindowSpec& window, std::size_t count_window) {
   tsl.dim = 2;
   tsl.window = window;
   set.owned.push_back(std::make_unique<TslEngine>(tsl));
-  set.owned.push_back(std::make_unique<ShardedEngine>(2, [=] {
-    GridEngineOptions inner = GridOptions(count_window);
-    inner.window = window;
-    return std::unique_ptr<MonitorEngine>(new TmaEngine(inner));
-  }));
   for (auto& e : set.owned) set.all.push_back(e.get());
   return set;
 }

@@ -4,11 +4,11 @@
 // operations that mutate an engine — processing cycles (which both
 // ingest arrivals and expire the window; a zero-arrival cycle is a pure
 // expiry step), query registration and query termination — and replays
-// the identical sequence through TMA, SMA, TSL and a 2-shard
-// ShardedEngine, checking every live query's result score multiset
-// against BruteForceEngine after every cycle. Registrations mix
-// monotone and piecewise-monotone specs, so the engines' internal
-// piece decomposition is fuzzed under the same interleavings. A second
+// the identical sequence through TMA, SMA and TSL, checking every live
+// query's result score multiset against BruteForceEngine after every
+// cycle. Registrations mix monotone and piecewise-monotone specs, so the
+// engines' internal piece decomposition is fuzzed under the same
+// interleavings. A second
 // tier replays every named workload from src/workload/ — skewed keys,
 // bursts, churn, adversarial timestamps — through the same engine set.
 //
@@ -39,7 +39,6 @@
 
 #include "core/brute_force_engine.h"
 #include "core/piecewise.h"
-#include "core/sharded_engine.h"
 #include "core/sma_engine.h"
 #include "core/tma_engine.h"
 #include "net/protocol.h"
@@ -208,10 +207,7 @@ Mismatch RunOps(const std::vector<FuzzOp>& ops) {
   tsl_opt.dim = kDim;
   tsl_opt.window = WindowSpec::Count(kWindow);
   TslEngine tsl(tsl_opt);
-  ShardedEngine sharded(2, [&grid] {
-    return std::unique_ptr<MonitorEngine>(new TmaEngine(grid));
-  });
-  std::vector<MonitorEngine*> engines = {&tma, &sma, &tsl, &sharded};
+  std::vector<MonitorEngine*> engines = {&tma, &sma, &tsl};
 
   Mismatch result;
   std::map<QueryId, QuerySpec> live;
@@ -374,10 +370,7 @@ void FuzzWorkload(const std::string& name, std::size_t steps) {
   tsl_opt.dim = kDim;
   tsl_opt.window = WindowSpec::Count(kWindow);
   TslEngine tsl(tsl_opt);
-  ShardedEngine sharded(2, [&grid] {
-    return std::unique_ptr<MonitorEngine>(new TmaEngine(grid));
-  });
-  std::vector<MonitorEngine*> engines = {&tma, &sma, &tsl, &sharded};
+  std::vector<MonitorEngine*> engines = {&tma, &sma, &tsl};
 
   std::set<QueryId> live;
   for (std::size_t s = 0; s < steps; ++s) {
@@ -459,10 +452,7 @@ void FuzzWorkloadWireRoundtrip(const std::string& name, std::size_t steps) {
   tsl_opt.dim = kDim;
   tsl_opt.window = WindowSpec::Count(kWindow);
   TslEngine tsl(tsl_opt);
-  ShardedEngine sharded(2, [&grid] {
-    return std::unique_ptr<MonitorEngine>(new TmaEngine(grid));
-  });
-  std::vector<MonitorEngine*> engines = {&tma, &sma, &tsl, &sharded};
+  std::vector<MonitorEngine*> engines = {&tma, &sma, &tsl};
 
   RecordArenaOptions aopt;
   aopt.chunk_records = 64;  // small chunks so recycling actually cycles

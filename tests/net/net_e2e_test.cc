@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/brute_force_engine.h"
-#include "core/sharded_engine.h"
 #include "core/tma_engine.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -56,17 +55,11 @@ TEST(NetEndToEndTest, TcpClientsSeeGapFreeDeltasMatchingBruteForce) {
   opt.ingest.slack = 4;
   opt.drain_wait = std::chrono::milliseconds(2);
   opt.hub.buffer_capacity = 1 << 16;  // no overflow drops in this test
-  MonitorService service(
-      std::make_unique<ShardedEngine>(
-          2,
-          [] {
-            GridEngineOptions grid;
-            grid.dim = kDim;
-            grid.window = WindowSpec::Count(kWindow);
-            grid.cell_budget = 256;
-            return std::unique_ptr<MonitorEngine>(new TmaEngine(grid));
-          }),
-      opt);
+  GridEngineOptions grid;
+  grid.dim = kDim;
+  grid.window = WindowSpec::Count(kWindow);
+  grid.cell_budget = 256;
+  MonitorService service(std::make_unique<TmaEngine>(grid), opt);
 
   // Journal of the exact (cycle, batch) sequence the driver applied.
   std::mutex journal_mu;

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/brute_force_engine.h"
-#include "core/sharded_engine.h"
 #include "core/tma_engine.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -49,14 +48,12 @@ using ::topkmon::testing::ScopedTempDir;
 constexpr int kDim = 2;
 constexpr std::size_t kWindow = 500;
 
-std::unique_ptr<MonitorEngine> MakeShardedTma() {
-  return std::make_unique<ShardedEngine>(2, [] {
-    GridEngineOptions grid;
-    grid.dim = kDim;
-    grid.window = WindowSpec::Count(kWindow);
-    grid.cell_budget = 256;
-    return std::unique_ptr<MonitorEngine>(new TmaEngine(grid));
-  });
+std::unique_ptr<MonitorEngine> MakeTma() {
+  GridEngineOptions grid;
+  grid.dim = kDim;
+  grid.window = WindowSpec::Count(kWindow);
+  grid.cell_budget = 256;
+  return std::make_unique<TmaEngine>(grid);
 }
 
 std::vector<double> ApplyDelta(std::map<RecordId, double>& view,
@@ -95,7 +92,7 @@ TEST(ReplicaFailoverE2eTest, UnattendedFailoverMatchesBruteForceMidKill) {
   leader_opt.journal.snapshot_every_cycles = 0;
   leader_opt.lease.enabled = true;
   leader_opt.lease.duration_seconds = 2.0;
-  auto leader = MonitorService::Open(MakeShardedTma, leader_opt);
+  auto leader = MonitorService::Open(MakeTma, leader_opt);
   ASSERT_TRUE(leader.ok()) << leader.status();
   // Fake lease clock: frozen, the lease never lapses no matter how slow
   // this machine is; advanced explicitly, the leader fences exactly when
@@ -120,7 +117,7 @@ TEST(ReplicaFailoverE2eTest, UnattendedFailoverMatchesBruteForceMidKill) {
   fopt.leader_port = leader_server->port();
   fopt.fetch_wait = std::chrono::milliseconds(20);
   fopt.reconnect_backoff = std::chrono::milliseconds(20);
-  auto follower = ReplicaFollower::Open(MakeShardedTma, fsvc, fopt);
+  auto follower = ReplicaFollower::Open(MakeTma, fsvc, fopt);
   ASSERT_TRUE(follower.ok()) << follower.status();
 
   std::mutex cycles_mu;

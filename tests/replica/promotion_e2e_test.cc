@@ -2,7 +2,7 @@
 // top-k results and gap-free, sequence-contiguous delta streams that
 // match an uninterrupted BruteForce run cycle-for-cycle.
 //
-// Shape: a journaled leader (sharded TMA) fronts real TCP producers; a
+// Shape: a journaled leader (TMA) fronts real TCP producers; a
 // ReplicaFollower ships and replays its journal live (with segment
 // rotations mid-stream) and fronts its own TcpServer. The leader is then
 // killed *with journaled cycles still unshipped* (they are written after
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/brute_force_engine.h"
-#include "core/sharded_engine.h"
 #include "core/tma_engine.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -42,14 +41,12 @@ using ::topkmon::testing::ScopedTempDir;
 constexpr int kDim = 2;
 constexpr std::size_t kWindow = 500;
 
-std::unique_ptr<MonitorEngine> MakeShardedTma() {
-  return std::make_unique<ShardedEngine>(2, [] {
-    GridEngineOptions grid;
-    grid.dim = kDim;
-    grid.window = WindowSpec::Count(kWindow);
-    grid.cell_budget = 256;
-    return std::unique_ptr<MonitorEngine>(new TmaEngine(grid));
-  });
+std::unique_ptr<MonitorEngine> MakeTma() {
+  GridEngineOptions grid;
+  grid.dim = kDim;
+  grid.window = WindowSpec::Count(kWindow);
+  grid.cell_budget = 256;
+  return std::make_unique<TmaEngine>(grid);
 }
 
 std::vector<double> ApplyDelta(std::map<RecordId, double>& view,
@@ -88,7 +85,7 @@ TEST(ReplicaPromotionE2eTest, PromotedFollowerMatchesBruteForceMidKill) {
   leader_opt.journal.segment_bytes = 16384;
   leader_opt.journal.retain_segment_count = 3;  // replication horizon
   leader_opt.journal.snapshot_every_cycles = 0;
-  auto leader = MonitorService::Open(MakeShardedTma, leader_opt);
+  auto leader = MonitorService::Open(MakeTma, leader_opt);
   ASSERT_TRUE(leader.ok()) << leader.status();
   const NetServerOptions net = testing::TestServerOptions();
   auto leader_server = std::make_unique<TcpServer>(**leader, net);
@@ -106,7 +103,7 @@ TEST(ReplicaPromotionE2eTest, PromotedFollowerMatchesBruteForceMidKill) {
   fopt.leader_port = leader_server->port();
   fopt.fetch_wait = std::chrono::milliseconds(20);
   fopt.reconnect_backoff = std::chrono::milliseconds(20);
-  auto follower = ReplicaFollower::Open(MakeShardedTma, fsvc, fopt);
+  auto follower = ReplicaFollower::Open(MakeTma, fsvc, fopt);
   ASSERT_TRUE(follower.ok()) << follower.status();
 
   // Ground-truth seam: every cycle the follower applies, in order —

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/brute_force_engine.h"
-#include "core/sharded_engine.h"
 #include "core/tma_engine.h"
 #include "stream/generators.h"
 #include "stream/record_arena.h"
@@ -26,16 +25,6 @@ constexpr std::size_t kWindow = 500;
 
 std::unique_ptr<MonitorEngine> MakeBrute() {
   return std::make_unique<BruteForceEngine>(kDim, WindowSpec::Count(kWindow));
-}
-
-std::unique_ptr<MonitorEngine> MakeShardedTma(int shards) {
-  return std::make_unique<ShardedEngine>(shards, [] {
-    GridEngineOptions opt;
-    opt.dim = kDim;
-    opt.window = WindowSpec::Count(kWindow);
-    opt.cell_budget = 256;
-    return std::unique_ptr<MonitorEngine>(new TmaEngine(opt));
-  });
 }
 
 std::unique_ptr<MonitorEngine> MakeTma() {
@@ -149,14 +138,14 @@ std::vector<double> ApplyDelta(std::map<RecordId, double>& view,
 }
 
 // The acceptance scenario: 4 producer threads ingest concurrently while 2
-// sessions hold queries over a sharded TMA engine. Every session's delta
+// sessions hold queries over a TMA engine. Every session's delta
 // stream must be sequence-gap-free, and replaying the exact batches the
 // driver formed into a BruteForceEngine must yield the identical sequence
 // of per-query result changes, cycle for cycle.
 TEST(MonitorServiceTest, EndToEndDeltasMatchBruteForceGroundTruth) {
   ServiceOptions opt = FastOptions();
   opt.hub.buffer_capacity = 1 << 16;  // no overflow drops in this test
-  MonitorService service(MakeShardedTma(2), opt);
+  MonitorService service(MakeTma(), opt);
 
   // Journal of the exact (cycle, batch) sequence the driver applied.
   std::mutex journal_mu;

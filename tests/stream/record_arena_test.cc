@@ -105,6 +105,39 @@ TEST(RecordArenaTest, PinnedEpochHoldsStorageAgainstRetire) {
   arena.Release(b, 4);
 }
 
+TEST(RecordArenaTest, DiscardedNewestSpanIsReusedBeforeRetire) {
+  RecordArenaOptions opt;
+  opt.chunk_records = 8;
+  RecordArena arena(opt);
+
+  // A producer bouncing off a full queue while no cycle publishes: each
+  // frame is decoded and refused within one epoch. Discarding the
+  // newest span hands its room back at once, so one chunk serves them
+  // all.
+  for (int frame = 0; frame < 100; ++frame) {
+    Record* span = FillSpan(arena, 8, static_cast<RecordId>(frame) * 8);
+    arena.Discard(span, 8);
+  }
+  RecordArenaStats s = arena.stats();
+  EXPECT_EQ(s.chunks_created, 1u);
+  EXPECT_EQ(arena.ResidentBytes(), opt.chunk_records * sizeof(Record));
+  EXPECT_EQ(s.allocated_records, s.released_records);
+
+  // Only the newest span rolls back: an older one discarded under a
+  // live newer span is held like a Release, until the epoch retires.
+  Record* a = FillSpan(arena, 4, 0);
+  Record* b = FillSpan(arena, 4, 4);
+  arena.Discard(a, 4);
+  EXPECT_EQ(b[3].id, 7u);
+  arena.Discard(b, 4);
+  Record* c = FillSpan(arena, 4, 8);
+  EXPECT_EQ(c, b);  // b's room, not a's
+  EXPECT_EQ(arena.stats().chunks_created, 1u);
+  arena.Release(c, 4);
+  s = arena.stats();
+  EXPECT_EQ(s.allocated_records, s.released_records);
+}
+
 TEST(RecordArenaTest, SplitReleaseReclaimsWholeChunk) {
   RecordArenaOptions opt;
   opt.chunk_records = 8;

@@ -25,17 +25,6 @@ QuerySpec LinearQuery(QueryId id, int k, std::vector<double> w) {
   return spec;
 }
 
-TEST(TslEngineTest, NameAndBasicErrors) {
-  TslEngine engine(SmallOptions(2, 100));
-  EXPECT_EQ(engine.name(), "TSL");
-  EXPECT_EQ(engine.dim(), 2);
-  EXPECT_EQ(engine.UnregisterQuery(1).code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine.CurrentResult(1).status().code(), StatusCode::kNotFound);
-  TOPKMON_ASSERT_OK(engine.RegisterQuery(LinearQuery(1, 2, {1.0, 1.0})));
-  EXPECT_EQ(engine.RegisterQuery(LinearQuery(1, 2, {1.0, 1.0})).code(),
-            StatusCode::kAlreadyExists);
-}
-
 TEST(TslEngineTest, ConstrainedQueriesMatchBruteForce) {
   // Constraint support landed with the piecewise decomposition (PR 7):
   // probes skip out-of-region records and the TA refill filters at
